@@ -1,161 +1,8 @@
 #include "bench/bench_common.h"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 namespace nomad {
-
-namespace {
-
-// t.json + "tpp" -> t.tpp.json; labels are sanitized to [-a-zA-Z0-9_].
-std::string PathWithLabel(const std::string& path, const std::string& label) {
-  std::string safe;
-  for (const char c : label) {
-    safe.push_back(std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_' ? c
-                                                                                       : '-');
-  }
-  const size_t slash = path.find_last_of('/');
-  const size_t dot = path.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash)) {
-    return path + "." + safe;
-  }
-  return path.substr(0, dot) + "." + safe + path.substr(dot);
-}
-
-}  // namespace
-
-MetricsCollector MetricsCollector::FromFlags(const std::string& bench_id, const Flags& flags) {
-  return MetricsCollector(bench_id, flags.GetString("metrics_out", ""),
-                          flags.GetString("trace_out", ""),
-                          flags.GetString("profile_out", ""),
-                          flags.GetString("timeline_out", ""));
-}
-
-void MetricsCollector::Capture(const std::string& label, Sim& sim, const PhaseReport& report) {
-  if (!active()) {
-    return;
-  }
-  if (!metrics_path_.empty()) {
-    std::ostringstream os;
-    JsonWriter jw(os);
-    AppendRunMetrics(jw, sim, report, label);
-    run_json_.push_back(os.str());
-  }
-  if (!trace_path_.empty()) {
-    const std::string path =
-        captures_ == 0 ? trace_path_ : PathWithLabel(trace_path_, label);
-    if (!WriteTraceFile(sim, path)) {
-      std::cerr << "warning: could not write trace to " << path << "\n";
-    }
-  }
-  if (!profile_path_.empty()) {
-    const std::string path =
-        captures_ == 0 ? profile_path_ : PathWithLabel(profile_path_, label);
-    if (!WriteProfileFile(sim, path)) {
-      std::cerr << "warning: could not write profile to " << path << "\n";
-    }
-  }
-  // Only runs that actually sampled a timeline write one; the collector
-  // cannot enable sampling retroactively.
-  if (!timeline_path_.empty() && sim.timeline_sampler() != nullptr) {
-    const std::string path =
-        captures_ == 0 ? timeline_path_ : PathWithLabel(timeline_path_, label);
-    if (!WriteTimelineFile(sim, path)) {
-      std::cerr << "warning: could not write timeline to " << path << "\n";
-    }
-  }
-  captures_++;
-}
-
-void MetricsCollector::Flush() {
-  if (flushed_ || metrics_path_.empty()) {
-    return;
-  }
-  flushed_ = true;
-  std::ofstream out(metrics_path_);
-  if (!out) {
-    std::cerr << "warning: could not write metrics to " << metrics_path_ << "\n";
-    return;
-  }
-  JsonWriter jw(out);
-  jw.BeginObject();
-  jw.Field("schema", std::string_view("nomad-metrics-v1"));
-  jw.Field("benchmark", std::string_view(bench_id_));
-  jw.Key("runs").BeginArray();
-  for (const std::string& run : run_json_) {
-    jw.Raw(run);
-  }
-  jw.EndArray();
-  jw.EndObject();
-  out << "\n";
-}
-
-MicroRunResult RunMicroBench(const MicroRunConfig& config, MetricsCollector* collector,
-                             const std::string& label) {
-  const Scale scale{config.scale_denom};
-  const PlatformSpec platform =
-      MakePlatform(config.platform, scale, config.fast_gb, config.slow_gb);
-
-  Sim sim(platform, config.policy, scale.Pages(config.rss_gb) + 16);
-  if (config.enable_spans) {
-    sim.ms().set_span_tracing(true);
-  }
-  if (config.timeline_interval > 0) {
-    sim.EnableTimeline({config.timeline_interval, config.timeline_capacity});
-  }
-
-  MicroLayout layout;
-  layout.rss_pages = scale.Pages(config.rss_gb);
-  layout.wss_pages = scale.Pages(config.wss_gb);
-  layout.wss_fast_pages = scale.Pages(config.wss_fast_gb);
-  layout.kernel_pages = scale.Pages(config.kernel_gb);
-  layout.placement = config.placement;
-  layout.seed = config.seed;
-  ScrambledZipfian zipf(layout.wss_pages, 0.99, config.seed);
-  const Vpn wss_start = SetupMicroLayout(sim, layout, zipf);
-
-  std::vector<std::unique_ptr<MicroWorkload>> apps;
-  for (int t = 0; t < config.threads; t++) {
-    MicroWorkload::Config wcfg;
-    wcfg.base.total_ops = config.total_ops / config.threads;
-    wcfg.base.seed = config.seed + 1000 + t;
-    wcfg.base.batch = config.batch;
-    wcfg.wss_start = wss_start;
-    wcfg.wss_pages = layout.wss_pages;
-    wcfg.write_fraction = config.write_fraction;
-    apps.push_back(std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), &zipf, wcfg));
-    sim.AddWorkload(apps.back().get());
-  }
-
-  MicroRunResult result;
-  sim.RunUntilOps(config.total_ops / 2);
-  result.first_half = sim.ms().counters();
-  sim.Run();
-
-  result.report = Analyze(sim);
-  result.counters = sim.ms().counters();
-  result.fast_used = sim.ms().pool().UsedFrames(Tier::kFast);
-  result.slow_used = sim.ms().pool().UsedFrames(Tier::kSlow);
-  if (NomadPolicy* nomad = sim.nomad()) {
-    result.shadow_pages = nomad->shadows().count();
-    result.tpm_commits = nomad->tpm_stats().commits;
-    result.tpm_aborts = nomad->tpm_stats().aborts;
-  }
-  if (collector != nullptr) {
-    collector->Capture(label.empty() ? PolicyKindName(config.policy) : label, sim,
-                       result.report);
-  }
-  return result;
-}
-
-uint64_t Promotions(const CounterSet& c) {
-  return c.Get("migrate.sync_promote") + c.Get("nomad.tpm_commit");
-}
-
-uint64_t Demotions(const CounterSet& c) {
-  return c.Get("migrate.sync_demote") + c.Get("nomad.demote_remap");
-}
 
 MicroRunConfig SmallWssConfig(PlatformId platform, PolicyKind policy) {
   MicroRunConfig c;
@@ -203,131 +50,6 @@ std::vector<PolicyKind> PoliciesFor(PlatformId platform, bool include_no_migrati
   }
   kinds.push_back(PolicyKind::kNomad);
   return kinds;
-}
-
-namespace {
-
-AppRunResult FinishAppRun(Sim& sim, MetricsCollector* collector, const std::string& label) {
-  AppRunResult result;
-  const PhaseReport report = Analyze(sim);
-  result.ops_per_sec = report.ops_per_sec;
-  result.runtime_ms = CyclesToSeconds(report.total_cycles, sim.platform().ghz) * 1e3;
-  result.promotions = Promotions(sim.ms().counters());
-  result.demotions = Demotions(sim.ms().counters());
-  if (NomadPolicy* nomad = sim.nomad()) {
-    result.tpm_commits = nomad->tpm_stats().commits;
-    result.tpm_aborts = nomad->tpm_stats().aborts;
-  }
-  if (collector != nullptr) {
-    collector->Capture(label.empty() ? PolicyKindName(sim.kind()) : label, sim, report);
-  }
-  return result;
-}
-
-}  // namespace
-
-AppRunResult RunYcsbBench(const YcsbRunConfig& config, MetricsCollector* collector,
-                          const std::string& label) {
-  const Scale scale{config.scale_denom};
-  const PlatformSpec platform =
-      MakePlatform(config.platform, scale, 16.0, config.slow_gb);
-
-  KvStore::Config kcfg;
-  kcfg.record_count = config.record_count;
-  kcfg.record_size = config.record_size;
-  KvStore store(kcfg);
-  const Vpn end = store.Layout(0);
-
-  Sim sim(platform, config.policy, end + 16);
-  if (config.enable_spans) {
-    sim.ms().set_span_tracing(true);
-  }
-  if (config.timeline_interval > 0) {
-    sim.EnableTimeline({config.timeline_interval, config.timeline_capacity});
-  }
-  sim.ms().ReserveFastFrames(scale.Pages(config.kernel_gb));
-  // Pre-load the dataset with the default placement (fast-first).
-  MapRange(sim.ms(), sim.as(), 0, end, Tier::kFast);
-  if (config.demote_first) {
-    DemoteAll(sim.ms(), sim.as());
-  }
-
-  YcsbWorkload::Config wcfg;
-  wcfg.base.total_ops = config.total_ops;
-  wcfg.base.seed = config.seed;
-  // One database op per engine step: an op's ~35 line accesses already
-  // span a TPM copy window, so stores can interleave with (and abort)
-  // transactions at realistic granularity.
-  wcfg.base.batch = 1;
-  YcsbWorkload app(&sim.ms(), &sim.as(), &store, wcfg);
-  sim.AddWorkload(&app);
-  sim.Run();
-  return FinishAppRun(sim, collector, label);
-}
-
-AppRunResult RunPageRankBench(const PageRankRunConfig& config,
-                              MetricsCollector* collector, const std::string& label) {
-  const Scale scale{config.scale_denom};
-  const PlatformSpec platform =
-      MakePlatform(config.platform, scale, 16.0, config.slow_gb);
-
-  PageRankWorkload::Config wcfg;
-  wcfg.vertices = config.vertices;
-  wcfg.iterations = config.iterations;
-  wcfg.neighbor_sample = config.neighbor_sample;
-  wcfg.base.seed = config.seed;
-  const Vpn end = PageRankWorkload::Layout(&wcfg, 0);
-
-  Sim sim(platform, config.policy, end + 16);
-  sim.ms().ReserveFastFrames(scale.Pages(config.kernel_gb));
-  // Standard placement: the graph spreads over fast then slow memory.
-  MapRange(sim.ms(), sim.as(), 0, end, Tier::kFast);
-
-  PageRankWorkload app(&sim.ms(), &sim.as(), wcfg);
-  sim.AddWorkload(&app);
-  sim.Run();
-  return FinishAppRun(sim, collector, label);
-}
-
-AppRunResult RunLiblinearBench(const LiblinearRunConfig& config,
-                               MetricsCollector* collector, const std::string& label) {
-  const Scale scale{config.scale_denom};
-  const PlatformSpec platform =
-      MakePlatform(config.platform, scale, 16.0, config.slow_gb);
-
-  // Worker threads share the model and split the samples (multicore
-  // liblinear, as the paper runs it).
-  std::vector<LiblinearWorkload::Config> wcfgs(config.threads);
-  Vpn end = 0;
-  for (int t = 0; t < config.threads; t++) {
-    LiblinearWorkload::Config& wcfg = wcfgs[t];
-    wcfg.samples = config.samples;
-    wcfg.row_lines = config.row_lines;
-    wcfg.sample_lines = config.sample_lines;
-    wcfg.model_pages = config.model_pages;
-    wcfg.features_per_sample = config.features_per_sample;
-    wcfg.epochs = config.epochs;
-    wcfg.base.seed = config.seed + t;
-    wcfg.base.batch = 1;  // one sample per step: weight stores interleave
-                          // with in-flight transactional copies
-    wcfg.thread_index = t;
-    wcfg.num_threads = config.threads;
-    end = LiblinearWorkload::Layout(&wcfg, 0);
-  }
-
-  Sim sim(platform, config.policy, end + 16);
-  sim.ms().ReserveFastFrames(scale.Pages(config.kernel_gb));
-  MapRange(sim.ms(), sim.as(), 0, end, Tier::kFast);
-  // The paper demotes all Liblinear pages to the slow tier before running.
-  DemoteAll(sim.ms(), sim.as());
-
-  std::vector<std::unique_ptr<LiblinearWorkload>> apps;
-  for (int t = 0; t < config.threads; t++) {
-    apps.push_back(std::make_unique<LiblinearWorkload>(&sim.ms(), &sim.as(), wcfgs[t]));
-    sim.AddWorkload(apps.back().get());
-  }
-  sim.Run();
-  return FinishAppRun(sim, collector, label);
 }
 
 void PrintHeader(const std::string& id, const std::string& what, PlatformId platform,

@@ -9,7 +9,8 @@
 //                                no 1/64 substitution (~10M simulated pages)
 //   --shards=N           [0]     0 = classic single-Sim run; N>0 partitions
 //                                records/capacity/ops into N shards driven
-//                                by the lockstep parallel engine
+//                                by the lockstep parallel engine. --shards=1
+//                                is the classic run itself, byte for byte
 //   --threads=N          [1]     OS worker threads in sharded mode
 //   --epoch=CYCLES       [500000] virtual-time barrier interval (sharded)
 //   --ops=N              [60000] total database operations
@@ -20,7 +21,8 @@
 //   --timeline_out=PATH  []      telemetry timeline CSV per run (the CI
 //                                anomaly gate runs timeline_report --check
 //                                on these)
-//   --timeline_interval=CYCLES [500000] sampling cadence
+//   --timeline_interval=CYCLES [500000] sampling cadence (with more than
+//                                one shard, rounded up to whole epochs)
 #include <iostream>
 #include <string>
 
@@ -113,7 +115,6 @@ int main(int argc, char** argv) {
           scfg.shards = shards;
           scfg.exec_threads = threads;
           scfg.epoch_cycles = epoch_cycles;
-          scfg.timeline_interval = cfg.timeline_interval;
           const ShardedAppResult r = RunShardedYcsb(scfg, &collector, label);
           kops = r.aggregate_ops_per_sec / 1e3;
           for (const AppRunResult& shard : r.per_shard) {

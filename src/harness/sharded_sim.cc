@@ -8,6 +8,11 @@
 #include "src/check/check.h"
 #include "src/check/invariants.h"
 #include "src/obs/event_registry.h"
+#include "src/workload/kvstore.h"
+#include "src/workload/liblinear.h"
+#include "src/workload/micro.h"
+#include "src/workload/pagerank.h"
+#include "src/workload/ycsb.h"
 
 namespace nomad {
 
@@ -203,101 +208,128 @@ Control RunLockstep(std::vector<Sim*>& sims, uint32_t exec_threads, Cycles epoch
   return ctrl;
 }
 
-// Everything one micro-benchmark shard owns. Worker threads touch only the
-// shards they were statically assigned; the main thread reads the states
-// after every worker has joined.
-struct NOMAD_SHARD_CONFINED MicroShardState {
-  MicroRunConfig cfg;  // the shard's 1/N slice of the machine
-  std::unique_ptr<ScrambledZipfian> zipf;
+// The settings every run shares, whatever its workload. The default is a
+// one-shard run without timeline, spans or faults.
+struct Plan {
+  uint32_t shards = 1;
+  uint32_t exec_threads = 1;
+  Cycles epoch_cycles = 0;
+  uint64_t max_epochs = 0;
+  uint64_t watchdog_stall_epochs = 0;
+  Cycles timeline_interval = 0;
+  size_t timeline_capacity = 0;
+  bool enable_spans = false;
+  std::function<std::unique_ptr<FaultInjector>(uint32_t shard)> fault_factory;
+};
+
+template <typename ShardedConfig>
+Plan PlanOf(const ShardedConfig& cfg) {
+  NOMAD_CHECK(cfg.shards > 0, "a run needs at least one shard");
+  Plan plan;
+  plan.shards = cfg.shards;
+  plan.exec_threads = cfg.exec_threads;
+  plan.epoch_cycles = cfg.epoch_cycles;
+  plan.max_epochs = cfg.max_epochs;
+  plan.timeline_interval = cfg.base.timeline_interval;
+  plan.timeline_capacity = cfg.base.timeline_capacity;
+  plan.enable_spans = cfg.base.enable_spans;
+  return plan;
+}
+
+// Lockstep samples the timeline at epoch boundaries, so its cadence is the
+// requested interval rounded up to whole epochs.
+uint64_t SampleEpochs(const Plan& plan) {
+  return (plan.timeline_interval + plan.epoch_cycles - 1) / plan.epoch_cycles;
+}
+
+// Everything one shard owns: its machine, the workload actors on it and the
+// data they read. Worker threads touch only the shards they were statically
+// assigned; the calling thread reads the shards after every worker joined.
+struct NOMAD_SHARD_CONFINED Shard {
   std::unique_ptr<Sim> sim;
-  std::vector<std::unique_ptr<MicroWorkload>> apps;
+  std::unique_ptr<ScrambledZipfian> zipf;  // the micro workload's key sampler
+  std::unique_ptr<KvStore> store;          // YCSB's records
+  std::vector<std::unique_ptr<WorkloadActor>> apps;
+  uint64_t total_ops = 0;  // the shard's configured ops; first_half is at half
   bool half_snapped = false;
   CounterSet first_half;
 };
 
-}  // namespace
+// Builds shard s's machine with the wiring every run gets: the shard's own
+// fault injector, span records and timeline.
+Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, PolicyKind policy,
+              uint64_t as_pages, Shard& sh) {
+  sh.sim = std::make_unique<Sim>(platform, policy, as_pages);
+  Sim& sim = *sh.sim;
+  if (plan.fault_factory) {
+    sim.ms().set_fault_injector(plan.fault_factory(s));
+  }
+  if (plan.enable_spans) {
+    sim.ms().set_span_tracing(true);
+  }
+  if (plan.timeline_interval > 0) {
+    if (plan.shards == 1) {
+      sim.EnableTimeline({plan.timeline_interval, plan.timeline_capacity});
+    } else {
+      // The epoch loop samples instead of an engine actor (see RunShards).
+      sim.EnableTimeline({SampleEpochs(plan) * plan.epoch_cycles, plan.timeline_capacity},
+                         /*engine_driven=*/false);
+    }
+  }
+  return sim;
+}
 
-ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* collector,
-                                 const std::string& label) {
-  const uint32_t S = cfg.shards;
-  NOMAD_CHECK(S > 0, "sharded run needs at least one shard");
+// The application benchmarks' machine (sec. 4.2): the platform's default
+// 16 GB fast tier (a shard gets its 1/N), the kernel's reservation, and the
+// dataset [0, end) pre-loaded with the default fast-first placement, then
+// pushed to the slow tier when `demote`, as the paper's "customized tool"
+// does before the Redis and Liblinear runs.
+template <typename AppConfig>
+Sim& BuildAppSim(const Plan& plan, uint32_t s, const AppConfig& c, Vpn end, bool demote,
+                 Shard& sh) {
+  const Scale scale{c.scale_denom};
+  Sim& sim = BuildSim(plan, s, MakePlatform(c.platform, scale, 16.0 / plan.shards, c.slow_gb),
+                      c.policy, end + 16, sh);
+  sim.ms().ReserveFastFrames(scale.Pages(c.kernel_gb));
+  MapRange(sim.ms(), sim.as(), 0, end, Tier::kFast);
+  if (demote) {
+    DemoteAll(sim.ms(), sim.as());
+  }
+  return sim;
+}
 
-  // --- partition: each shard is a 1/N machine running 1/N of the work ---
-  // Setup runs sequentially on the calling thread so allocation order (and
-  // thus every PFN layout) is independent of the worker count.
-  std::vector<MicroShardState> shards(S);
+void AddApp(Shard& sh, std::unique_ptr<WorkloadActor> app) {
+  sh.sim->AddWorkload(app.get());
+  sh.apps.push_back(std::move(app));
+}
+
+// Runs the built shards until every workload finished, taking each shard's
+// first-half snapshot on the way.
+Control RunShards(const Plan& plan, std::vector<Shard>& shards) {
+  if (plan.shards == 1) {
+    // The classic loop: an exact half-way snapshot, and a stop as soon as
+    // the workloads finish. Lockstep would keep the daemons running on to
+    // the next epoch boundary, which changes the counters.
+    Shard& sh = shards[0];
+    sh.sim->RunUntilOps(sh.total_ops / 2);
+    sh.first_half = sh.sim->ms().counters();
+    sh.half_snapped = true;
+    sh.sim->Run();
+    Control ctrl;
+    ctrl.total_ops = OpsDone(*sh.sim);
+    return ctrl;
+  }
   std::vector<Sim*> sims;
-  for (uint32_t s = 0; s < S; s++) {
-    MicroShardState& sh = shards[s];
-    sh.cfg = cfg.base;
-    sh.cfg.rss_gb /= S;
-    sh.cfg.wss_gb /= S;
-    sh.cfg.wss_fast_gb /= S;
-    sh.cfg.kernel_gb /= S;
-    sh.cfg.fast_gb /= S;
-    sh.cfg.slow_gb /= S;
-    sh.cfg.total_ops = cfg.base.total_ops / S;
-    // Distinct streams per shard; 7919 keeps seeds far apart without
-    // correlating with the +1000+thread offsets used inside a shard.
-    sh.cfg.seed = cfg.base.seed + 7919 * s;
-
-    const Scale scale{sh.cfg.scale_denom};
-    const PlatformSpec platform =
-        MakePlatform(sh.cfg.platform, scale, sh.cfg.fast_gb, sh.cfg.slow_gb);
-    sh.sim = std::make_unique<Sim>(platform, sh.cfg.policy, scale.Pages(sh.cfg.rss_gb) + 16);
-    if (cfg.fault_factory) {
-      sh.sim->ms().set_fault_injector(cfg.fault_factory(s));
-    }
-    if (cfg.enable_spans) {
-      sh.sim->ms().set_span_tracing(true);
-    }
-    if (cfg.timeline_interval > 0) {
-      // Round the requested cadence up to whole epochs: the sample times
-      // are then epoch multiples, identical for every exec_threads value.
-      Timeline::Config tcfg;
-      tcfg.interval = ((cfg.timeline_interval + cfg.epoch_cycles - 1) / cfg.epoch_cycles) *
-                      cfg.epoch_cycles;
-      tcfg.capacity = cfg.timeline_capacity;
-      sh.sim->EnableTimeline(tcfg, /*engine_driven=*/false);
-    }
-
-    MicroLayout layout;
-    layout.rss_pages = scale.Pages(sh.cfg.rss_gb);
-    layout.wss_pages = scale.Pages(sh.cfg.wss_gb);
-    layout.wss_fast_pages = scale.Pages(sh.cfg.wss_fast_gb);
-    layout.kernel_pages = scale.Pages(sh.cfg.kernel_gb);
-    layout.placement = sh.cfg.placement;
-    layout.seed = sh.cfg.seed;
-    sh.zipf = std::make_unique<ScrambledZipfian>(layout.wss_pages, 0.99, sh.cfg.seed);
-    const Vpn wss_start = SetupMicroLayout(*sh.sim, layout, *sh.zipf);
-
-    for (int t = 0; t < sh.cfg.threads; t++) {
-      MicroWorkload::Config wcfg;
-      wcfg.base.total_ops = sh.cfg.total_ops / static_cast<uint64_t>(sh.cfg.threads);
-      wcfg.base.seed = sh.cfg.seed + 1000 + static_cast<uint64_t>(t);
-      wcfg.wss_start = wss_start;
-      wcfg.wss_pages = layout.wss_pages;
-      wcfg.write_fraction = sh.cfg.write_fraction;
-      sh.apps.push_back(
-          std::make_unique<MicroWorkload>(&sh.sim->ms(), &sh.sim->as(), sh.zipf.get(), wcfg));
-      sh.sim->AddWorkload(sh.apps.back().get());
-    }
+  for (Shard& sh : shards) {
     sims.push_back(sh.sim.get());
   }
-
-  // Timeline cadence in epochs (the interval was rounded up to whole
-  // epochs at EnableTimeline time).
-  const uint64_t sample_epochs =
-      cfg.timeline_interval > 0
-          ? (cfg.timeline_interval + cfg.epoch_cycles - 1) / cfg.epoch_cycles
-          : 0;
-
-  ShardRouter router(S);
-  const Control ctrl = RunLockstep(
-      sims, cfg.exec_threads, cfg.epoch_cycles, cfg.max_epochs, router,
+  const uint64_t sample_epochs = plan.timeline_interval > 0 ? SampleEpochs(plan) : 0;
+  ShardRouter router(plan.shards);
+  return RunLockstep(
+      sims, plan.exec_threads, plan.epoch_cycles, plan.max_epochs, router,
       [&](uint32_t s, uint64_t epoch) {
-        MicroShardState& sh = shards[s];
-        if (!sh.half_snapped && OpsDone(*sh.sim) * 2 >= sh.cfg.total_ops) {
+        Shard& sh = shards[s];
+        if (!sh.half_snapped && OpsDone(*sh.sim) * 2 >= sh.total_ops) {
           // Phase snapshot at epoch granularity: deterministic because the
           // epoch schedule is fixed.
           sh.first_half = sh.sim->ms().counters();
@@ -311,162 +343,47 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
           sh.sim->SampleTimeline(OpsDone(*sh.sim), epoch + 1);
         }
       },
-      cfg.watchdog_stall_epochs);
-
-  // --- merge, strictly in shard-id order ---
-  ShardedRunResult result;
-  result.total_ops = ctrl.total_ops;
-  result.messages = ctrl.messages;
-  result.epochs = ctrl.epochs;
-  result.watchdog_stalls = ctrl.watchdog_stalls;
-  for (uint32_t s = 0; s < S; s++) {
-    MicroShardState& sh = shards[s];
-    MicroRunResult r;
-    r.report = Analyze(*sh.sim);
-    r.counters = sh.sim->ms().counters();
-    r.first_half = sh.half_snapped ? sh.first_half : r.counters;
-    r.fast_used = sh.sim->ms().pool().UsedFrames(Tier::kFast);
-    r.slow_used = sh.sim->ms().pool().UsedFrames(Tier::kSlow);
-    if (NomadPolicy* nomad = sh.sim->nomad()) {
-      r.shadow_pages = nomad->shadows().count();
-      r.tpm_commits = nomad->tpm_stats().commits;
-      r.tpm_aborts = nomad->tpm_stats().aborts;
-      r.pcq_hwm = nomad->queues().pcq_hwm();
-      r.pending_hwm = nomad->queues().pending_hwm();
-      r.pcq_overflows = nomad->queues().overflow_count();
-    }
-    result.max_virtual_time = std::max(result.max_virtual_time, sh.sim->engine().now());
-    result.aggregate_gbps += r.report.overall_gbps;
-    if (const FaultInjector* fi = sh.sim->ms().faults()) {
-      r.injector = fi->Describe();
-      result.faults_injected += fi->total_injected();
-    }
-    if (cfg.audit) {
-      // Quiescence audit: with every worker joined and the shard's engine
-      // drained, each shard must independently satisfy the full invariant
-      // suite — cross-shard messages must not have corrupted owned state.
-      InvariantChecker checker(&sh.sim->ms());
-      checker.AddSpace(&sh.sim->as());
-      if (NomadPolicy* nomad = sh.sim->nomad()) {
-        checker.set_shadows(&nomad->shadows());
-        checker.set_queues(&nomad->queues());
-      }
-      for (const InvariantViolation& v : checker.Check()) {
-        std::cerr << "shard " << s << " invariant [" << v.rule << "] " << v.detail << "\n";
-        result.invariant_violations++;
-      }
-    }
-    if (collector != nullptr) {
-      const std::string base_label =
-          label.empty() ? PolicyKindName(sh.cfg.policy) : label;
-      collector->Capture(base_label + ".shard" + std::to_string(s), *sh.sim, r.report);
-    }
-    result.per_shard.push_back(std::move(r));
-  }
-  return result;
+      plan.watchdog_stall_epochs);
 }
 
-ShardedAppResult RunShardedYcsb(const ShardedYcsbConfig& cfg, MetricsCollector* collector,
-                                const std::string& label) {
-  const uint32_t S = cfg.shards;
-  NOMAD_CHECK(S > 0, "sharded run needs at least one shard");
-
-  struct NOMAD_SHARD_CONFINED YcsbShardState {
-    YcsbRunConfig cfg;
-    std::unique_ptr<KvStore> store;
-    std::unique_ptr<Sim> sim;
-    std::unique_ptr<YcsbWorkload> app;
-  };
-
-  std::vector<YcsbShardState> shards(S);
-  std::vector<Sim*> sims;
-  for (uint32_t s = 0; s < S; s++) {
-    YcsbShardState& sh = shards[s];
-    sh.cfg = cfg.base;
-    sh.cfg.record_count = cfg.base.record_count / S;
-    sh.cfg.total_ops = cfg.base.total_ops / S;
-    sh.cfg.slow_gb /= S;
-    sh.cfg.kernel_gb /= S;
-    sh.cfg.seed = cfg.base.seed + 7919 * s;
-
-    const Scale scale{sh.cfg.scale_denom};
-    // RunYcsbBench's fast tier is the platform default 16 GB; the shard
-    // gets its 1/N slice of that too.
-    const PlatformSpec platform =
-        MakePlatform(sh.cfg.platform, scale, 16.0 / S, sh.cfg.slow_gb);
-
-    KvStore::Config kcfg;
-    kcfg.record_count = sh.cfg.record_count;
-    kcfg.record_size = sh.cfg.record_size;
-    sh.store = std::make_unique<KvStore>(kcfg);
-    const Vpn end = sh.store->Layout(0);
-
-    sh.sim = std::make_unique<Sim>(platform, sh.cfg.policy, end + 16);
-    if (cfg.enable_spans) {
-      sh.sim->ms().set_span_tracing(true);
-    }
-    if (cfg.timeline_interval > 0) {
-      Timeline::Config tcfg;
-      tcfg.interval = ((cfg.timeline_interval + cfg.epoch_cycles - 1) / cfg.epoch_cycles) *
-                      cfg.epoch_cycles;
-      tcfg.capacity = cfg.timeline_capacity;
-      sh.sim->EnableTimeline(tcfg, /*engine_driven=*/false);
-    }
-    sh.sim->ms().ReserveFastFrames(scale.Pages(sh.cfg.kernel_gb));
-    MapRange(sh.sim->ms(), sh.sim->as(), 0, end, Tier::kFast);
-    if (sh.cfg.demote_first) {
-      DemoteAll(sh.sim->ms(), sh.sim->as());
-    }
-
-    YcsbWorkload::Config wcfg;
-    wcfg.base.total_ops = sh.cfg.total_ops;
-    wcfg.base.seed = sh.cfg.seed;
-    wcfg.base.batch = 1;
-    sh.app = std::make_unique<YcsbWorkload>(&sh.sim->ms(), &sh.sim->as(), sh.store.get(),
-                                            wcfg);
-    sh.sim->AddWorkload(sh.app.get());
-    sims.push_back(sh.sim.get());
+// Captures shard s under "<label>.shard<s>", or under the label itself when
+// the run has one shard. The default label is the policy name.
+void CaptureShard(MetricsCollector* collector, const std::string& label, uint32_t s,
+                  uint32_t shards, Sim& sim, const PhaseReport& report) {
+  if (collector == nullptr) {
+    return;
   }
+  std::string name = label.empty() ? PolicyKindName(sim.kind()) : label;
+  if (shards > 1) {
+    name += ".shard" + std::to_string(s);
+  }
+  collector->Capture(name, sim, report);
+}
 
-  const uint64_t sample_epochs =
-      cfg.timeline_interval > 0
-          ? (cfg.timeline_interval + cfg.epoch_cycles - 1) / cfg.epoch_cycles
-          : 0;
-  ShardRouter router(S);
-  const Control ctrl = RunLockstep(
-      sims, cfg.exec_threads, cfg.epoch_cycles, cfg.max_epochs, router,
-      sample_epochs == 0 ? std::function<void(uint32_t, uint64_t)>()
-                         : [&](uint32_t s, uint64_t epoch) {
-                             if ((epoch + 1) % sample_epochs == 0) {
-                               Sim& sim = *shards[s].sim;
-                               sim.SampleTimeline(OpsDone(sim), epoch + 1);
-                             }
-                           });
-
+// Runs built application shards and folds each into an AppRunResult.
+ShardedAppResult RunApps(const Plan& plan, std::vector<Shard>& shards,
+                         MetricsCollector* collector, const std::string& label) {
+  const Control ctrl = RunShards(plan, shards);
   ShardedAppResult result;
   result.total_ops = ctrl.total_ops;
   result.messages = ctrl.messages;
   result.epochs = ctrl.epochs;
   uint64_t ops_sum = 0;
-  for (uint32_t s = 0; s < S; s++) {
-    YcsbShardState& sh = shards[s];
+  for (uint32_t s = 0; s < plan.shards; s++) {
+    Sim& sim = *shards[s].sim;
+    const PhaseReport report = Analyze(sim);
     AppRunResult r;
-    const PhaseReport report = Analyze(*sh.sim);
     r.ops_per_sec = report.ops_per_sec;
-    r.runtime_ms = CyclesToSeconds(report.total_cycles, sh.sim->platform().ghz) * 1e3;
-    r.promotions = Promotions(sh.sim->ms().counters());
-    r.demotions = Demotions(sh.sim->ms().counters());
-    if (NomadPolicy* nomad = sh.sim->nomad()) {
+    r.runtime_ms = CyclesToSeconds(report.total_cycles, sim.platform().ghz) * 1e3;
+    r.promotions = Promotions(sim.ms().counters());
+    r.demotions = Demotions(sim.ms().counters());
+    if (NomadPolicy* nomad = sim.nomad()) {
       r.tpm_commits = nomad->tpm_stats().commits;
       r.tpm_aborts = nomad->tpm_stats().aborts;
     }
-    result.max_virtual_time = std::max(result.max_virtual_time, sh.sim->engine().now());
-    ops_sum += OpsDone(*sh.sim);
-    if (collector != nullptr) {
-      const std::string base_label =
-          label.empty() ? PolicyKindName(sh.cfg.policy) : label;
-      collector->Capture(base_label + ".shard" + std::to_string(s), *sh.sim, report);
-    }
+    result.max_virtual_time = std::max(result.max_virtual_time, sim.engine().now());
+    ops_sum += OpsDone(sim);
+    CaptureShard(collector, label, s, plan.shards, sim, report);
     result.per_shard.push_back(r);
   }
   // Shards run concurrently in virtual time, so the machine-level rate is
@@ -477,6 +394,206 @@ ShardedAppResult RunShardedYcsb(const ShardedYcsbConfig& cfg, MetricsCollector* 
         CyclesToSeconds(result.max_virtual_time, shards[0].sim->platform().ghz);
   }
   return result;
+}
+
+}  // namespace
+
+ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* collector,
+                                 const std::string& label) {
+  Plan plan = PlanOf(cfg);
+  plan.watchdog_stall_epochs = cfg.watchdog_stall_epochs;
+  plan.fault_factory = cfg.fault_factory;
+  const uint32_t S = plan.shards;
+
+  // --- partition: each shard is a 1/N machine running 1/N of the work ---
+  // Setup runs sequentially on the calling thread so allocation order (and
+  // thus every PFN layout) is independent of the worker count.
+  std::vector<Shard> shards(S);
+  for (uint32_t s = 0; s < S; s++) {
+    MicroRunConfig c = cfg.base;
+    c.rss_gb /= S;
+    c.wss_gb /= S;
+    c.wss_fast_gb /= S;
+    c.kernel_gb /= S;
+    c.fast_gb /= S;
+    c.slow_gb /= S;
+    c.total_ops = cfg.base.total_ops / S;
+    // Distinct streams per shard; 7919 keeps seeds far apart without
+    // correlating with the +1000+thread offsets used inside a shard.
+    c.seed = cfg.base.seed + 7919 * s;
+
+    Shard& sh = shards[s];
+    sh.total_ops = c.total_ops;
+    const Scale scale{c.scale_denom};
+    Sim& sim = BuildSim(plan, s, MakePlatform(c.platform, scale, c.fast_gb, c.slow_gb),
+                        c.policy, scale.Pages(c.rss_gb) + 16, sh);
+    MicroLayout layout;
+    layout.rss_pages = scale.Pages(c.rss_gb);
+    layout.wss_pages = scale.Pages(c.wss_gb);
+    layout.wss_fast_pages = scale.Pages(c.wss_fast_gb);
+    layout.kernel_pages = scale.Pages(c.kernel_gb);
+    layout.placement = c.placement;
+    layout.seed = c.seed;
+    sh.zipf = std::make_unique<ScrambledZipfian>(layout.wss_pages, 0.99, c.seed);
+    const Vpn wss_start = SetupMicroLayout(sim, layout, *sh.zipf);
+    for (int t = 0; t < c.threads; t++) {
+      MicroWorkload::Config wcfg;
+      wcfg.base.total_ops = c.total_ops / static_cast<uint64_t>(c.threads);
+      wcfg.base.seed = c.seed + 1000 + static_cast<uint64_t>(t);
+      wcfg.base.batch = c.batch;
+      wcfg.wss_start = wss_start;
+      wcfg.wss_pages = layout.wss_pages;
+      wcfg.write_fraction = c.write_fraction;
+      AddApp(sh, std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), sh.zipf.get(), wcfg));
+    }
+  }
+  const Control ctrl = RunShards(plan, shards);
+
+  // --- merge, strictly in shard-id order ---
+  ShardedRunResult result;
+  result.total_ops = ctrl.total_ops;
+  result.messages = ctrl.messages;
+  result.epochs = ctrl.epochs;
+  result.watchdog_stalls = ctrl.watchdog_stalls;
+  for (uint32_t s = 0; s < S; s++) {
+    Shard& sh = shards[s];
+    Sim& sim = *sh.sim;
+    MicroRunResult r;
+    r.report = Analyze(sim);
+    r.counters = sim.ms().counters();
+    r.first_half = sh.half_snapped ? sh.first_half : r.counters;
+    r.fast_used = sim.ms().pool().UsedFrames(Tier::kFast);
+    r.slow_used = sim.ms().pool().UsedFrames(Tier::kSlow);
+    if (NomadPolicy* nomad = sim.nomad()) {
+      r.shadow_pages = nomad->shadows().count();
+      r.tpm_commits = nomad->tpm_stats().commits;
+      r.tpm_aborts = nomad->tpm_stats().aborts;
+      r.pcq_hwm = nomad->queues().pcq_hwm();
+      r.pending_hwm = nomad->queues().pending_hwm();
+      r.pcq_overflows = nomad->queues().overflow_count();
+    }
+    result.max_virtual_time = std::max(result.max_virtual_time, sim.engine().now());
+    result.aggregate_gbps += r.report.overall_gbps;
+    if (const FaultInjector* fi = sim.ms().faults()) {
+      r.injector = fi->Describe();
+      result.faults_injected += fi->total_injected();
+    }
+    if (cfg.audit) {
+      // Quiescence audit: with every worker joined and the shard's engine
+      // drained, each shard must independently satisfy the full invariant
+      // suite — cross-shard messages must not have corrupted owned state.
+      InvariantChecker checker(&sim.ms());
+      checker.AddSpace(&sim.as());
+      if (NomadPolicy* nomad = sim.nomad()) {
+        checker.set_shadows(&nomad->shadows());
+        checker.set_queues(&nomad->queues());
+      }
+      for (const InvariantViolation& v : checker.Check()) {
+        std::cerr << "shard " << s << " invariant [" << v.rule << "] " << v.detail << "\n";
+        result.invariant_violations++;
+      }
+    }
+    CaptureShard(collector, label, s, S, sim, r.report);
+    result.per_shard.push_back(std::move(r));
+  }
+  return result;
+}
+
+ShardedAppResult RunShardedYcsb(const ShardedYcsbConfig& cfg, MetricsCollector* collector,
+                                const std::string& label) {
+  const Plan plan = PlanOf(cfg);
+  const uint32_t S = plan.shards;
+  std::vector<Shard> shards(S);
+  for (uint32_t s = 0; s < S; s++) {
+    YcsbRunConfig c = cfg.base;
+    c.record_count = cfg.base.record_count / S;
+    c.total_ops = cfg.base.total_ops / S;
+    c.slow_gb /= S;
+    c.kernel_gb /= S;
+    c.seed = cfg.base.seed + 7919 * s;
+
+    Shard& sh = shards[s];
+    sh.total_ops = c.total_ops;
+    KvStore::Config kcfg;
+    kcfg.record_count = c.record_count;
+    kcfg.record_size = c.record_size;
+    sh.store = std::make_unique<KvStore>(kcfg);
+    Sim& sim = BuildAppSim(plan, s, c, sh.store->Layout(0), c.demote_first, sh);
+    YcsbWorkload::Config wcfg;
+    wcfg.base.total_ops = c.total_ops;
+    wcfg.base.seed = c.seed;
+    // One database op per engine step: an op's ~35 line accesses already
+    // span a TPM copy window, so stores can interleave with (and abort)
+    // transactions at realistic granularity.
+    wcfg.base.batch = 1;
+    AddApp(sh, std::make_unique<YcsbWorkload>(&sim.ms(), &sim.as(), sh.store.get(), wcfg));
+  }
+  return RunApps(plan, shards, collector, label);
+}
+
+MicroRunResult RunMicroBench(const MicroRunConfig& config, MetricsCollector* collector,
+                             const std::string& label) {
+  ShardedRunConfig cfg;
+  cfg.base = config;
+  cfg.shards = 1;
+  return std::move(RunShardedMicro(cfg, collector, label).per_shard[0]);
+}
+
+AppRunResult RunYcsbBench(const YcsbRunConfig& config, MetricsCollector* collector,
+                          const std::string& label) {
+  ShardedYcsbConfig cfg;
+  cfg.base = config;
+  cfg.shards = 1;
+  return RunShardedYcsb(cfg, collector, label).per_shard[0];
+}
+
+AppRunResult RunPageRankBench(const PageRankRunConfig& config, MetricsCollector* collector,
+                              const std::string& label) {
+  PageRankWorkload::Config wcfg;
+  wcfg.vertices = config.vertices;
+  wcfg.iterations = config.iterations;
+  wcfg.neighbor_sample = config.neighbor_sample;
+  wcfg.base.seed = config.seed;
+  const Vpn end = PageRankWorkload::Layout(&wcfg, 0);
+
+  // Standard placement: the graph spreads over fast then slow memory.
+  const Plan plan;
+  std::vector<Shard> shards(1);
+  Sim& sim = BuildAppSim(plan, 0, config, end, /*demote=*/false, shards[0]);
+  AddApp(shards[0], std::make_unique<PageRankWorkload>(&sim.ms(), &sim.as(), wcfg));
+  return RunApps(plan, shards, collector, label).per_shard[0];
+}
+
+AppRunResult RunLiblinearBench(const LiblinearRunConfig& config, MetricsCollector* collector,
+                               const std::string& label) {
+  // Worker threads share the model and split the samples (multicore
+  // liblinear, as the paper runs it).
+  std::vector<LiblinearWorkload::Config> wcfgs(config.threads);
+  Vpn end = 0;
+  for (int t = 0; t < config.threads; t++) {
+    LiblinearWorkload::Config& wcfg = wcfgs[t];
+    wcfg.samples = config.samples;
+    wcfg.row_lines = config.row_lines;
+    wcfg.sample_lines = config.sample_lines;
+    wcfg.model_pages = config.model_pages;
+    wcfg.features_per_sample = config.features_per_sample;
+    wcfg.epochs = config.epochs;
+    wcfg.base.seed = config.seed + t;
+    wcfg.base.batch = 1;  // one sample per step: weight stores interleave
+                          // with in-flight transactional copies
+    wcfg.thread_index = t;
+    wcfg.num_threads = config.threads;
+    end = LiblinearWorkload::Layout(&wcfg, 0);
+  }
+
+  // The paper demotes all Liblinear pages to the slow tier before running.
+  const Plan plan;
+  std::vector<Shard> shards(1);
+  Sim& sim = BuildAppSim(plan, 0, config, end, /*demote=*/true, shards[0]);
+  for (const LiblinearWorkload::Config& wcfg : wcfgs) {
+    AddApp(shards[0], std::make_unique<LiblinearWorkload>(&sim.ms(), &sim.as(), wcfg));
+  }
+  return RunApps(plan, shards, collector, label).per_shard[0];
 }
 
 }  // namespace nomad

@@ -6,9 +6,10 @@
 // counter (as per-window deltas) and histogram (count delta + p50/p99) —
 // into the columnar ring. Two drivers exist:
 //  - TimelineActor: an engine actor that samples every `interval` virtual
-//    cycles (single-sim mode),
-//  - RunShardedMicro's epoch loop, which calls Sample() at lockstep epoch
-//    boundaries so the sampled times are identical for any --threads value.
+//    cycles (one-shard runs),
+//  - the runner's lockstep epoch loop (src/harness/sharded_sim.cc), which
+//    calls SampleSharded() at epoch boundaries so the sampled times are
+//    identical for any --threads value.
 #ifndef SRC_HARNESS_TIMELINE_SAMPLER_H_
 #define SRC_HARNESS_TIMELINE_SAMPLER_H_
 

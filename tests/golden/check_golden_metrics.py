@@ -9,7 +9,9 @@ the full --metrics_out output of
 
   nomadsim --policy=<policy> --seed=42 --ops=200000
 
-and the check re-runs the same command and compares bytes. A diff means
+and the check re-runs the same command and compares bytes. It also runs
+each command with --shards=1 against the same golden: a one-shard run of
+the runner is the classic run, byte for byte. A diff means
 an "optimization" changed simulated behavior (or exporter formatting):
 either find the behavioral leak, or - for an intentional model change -
 regenerate the goldens with tests/golden/check_golden_metrics.py
@@ -28,19 +30,22 @@ import tempfile
 POLICIES = ["nomad", "tpp", "memtis-default"]
 SEED = 42
 OPS = 200000
+# Extra flags per run; every variant must reproduce the same golden.
+VARIANTS = [[], ["--shards=1"]]
 
 
 def golden_path(golden_dir, policy):
     return os.path.join(golden_dir, f"metrics_{policy}_seed{SEED}_ops{OPS}.json")
 
 
-def run_sim(nomadsim, policy, out_path):
+def run_sim(nomadsim, policy, out_path, extra=()):
     cmd = [
         nomadsim,
         f"--policy={policy}",
         f"--seed={SEED}",
         f"--ops={OPS}",
         f"--metrics_out={out_path}",
+        *extra,
     ]
     proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
@@ -68,25 +73,27 @@ def main():
         if not os.path.exists(golden):
             failures.append(f"{policy}: missing golden {golden}")
             continue
-        with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-            tmp_path = tmp.name
-        try:
-            run_sim(args.nomadsim, policy, tmp_path)
-            with open(tmp_path, "rb") as f:
-                current = f.read()
-            with open(golden, "rb") as f:
-                expected = f.read()
+        with open(golden, "rb") as f:
+            expected = f.read()
+        for extra in VARIANTS:
+            name = " ".join([policy, *extra])
+            with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
+                tmp_path = tmp.name
+            try:
+                run_sim(args.nomadsim, policy, tmp_path, extra)
+                with open(tmp_path, "rb") as f:
+                    current = f.read()
+            finally:
+                os.unlink(tmp_path)
             if current == expected:
-                print(f"ok   {policy}: {len(current)} bytes identical")
+                print(f"ok   {name}: {len(current)} bytes identical")
             else:
                 # Locate the first differing byte for a usable message.
                 n = min(len(current), len(expected))
                 at = next((i for i in range(n) if current[i] != expected[i]), n)
                 failures.append(
-                    f"{policy}: metrics differ from {golden} at byte {at} "
+                    f"{name}: metrics differ from {golden} at byte {at} "
                     f"(current {len(current)}B, golden {len(expected)}B)")
-        finally:
-            os.unlink(tmp_path)
 
     if failures:
         for f in failures:

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/bench_common.h"
 #include "src/harness/sharded_sim.h"
 #include "src/obs/trace.h"
 
@@ -29,8 +28,8 @@ ShardedRunConfig TimelineConfig(uint32_t exec_threads) {
   cfg.base.total_ops = 40000;
   cfg.shards = 2;
   cfg.exec_threads = exec_threads;
-  cfg.timeline_interval = 100000;  // rounds up to one sample per epoch
-  cfg.enable_spans = true;
+  cfg.base.timeline_interval = 100000;  // rounds up to one sample per epoch
+  cfg.base.enable_spans = true;
   return cfg;
 }
 

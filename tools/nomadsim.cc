@@ -27,8 +27,8 @@
 //   --timeline_out=PATH  []       write the telemetry timeline CSV(s)
 //                                 (tools/timeline_report input); also adds
 //                                 a "timeline" section to metrics.json
-//   --timeline_interval=CYCLES [200000] sampling cadence (sharded mode
-//                                 rounds it up to whole epochs)
+//   --timeline_interval=CYCLES [200000] sampling cadence (with more than
+//                                 one shard, rounded up to whole epochs)
 //   --spans              [off]    emit migration-lifecycle span records
 //                                 (trace_query --span input)
 //
@@ -37,6 +37,9 @@
 //                                 the machine into N per-NUMA-node shards
 //                                 advanced in lockstep virtual-time epochs.
 //                                 Results depend on N but NOT on --threads.
+//                                 --shards=1 is the legacy run itself: its
+//                                 metrics equal those of --shards=0 with
+//                                 --threads=<app_threads>.
 //   --app_threads=N      [2]      simulated app threads per shard
 //   --epoch=CYCLES       [500000] virtual-time barrier interval
 #include <algorithm>
@@ -149,8 +152,6 @@ int main(int argc, char** argv) {
       scfg.shards = shards;
       scfg.exec_threads = static_cast<uint32_t>(std::max(1, cfg.threads));
       scfg.epoch_cycles = epoch_cycles;
-      scfg.timeline_interval = cfg.timeline_interval;
-      scfg.enable_spans = spans;
       const ShardedRunResult r = RunShardedMicro(scfg, &collector);
       uint64_t promos = 0, demos = 0, aborts = 0;
       for (const MicroRunResult& shard : r.per_shard) {
