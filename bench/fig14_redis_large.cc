@@ -12,7 +12,7 @@
 //                                by the lockstep parallel engine. --shards=1
 //                                is the classic run itself, byte for byte
 //   --threads=N          [1]     OS worker threads in sharded mode
-//   --epoch=CYCLES       [500000] virtual-time barrier interval (sharded)
+//   --epoch=CYCLES       [500000] virtual-time barrier interval (sharded, > 0)
 //   --ops=N              [60000] total database operations
 //   --platform=C|D|both  [both]
 //   --policy=...         [all]   restrict to one policy
@@ -55,6 +55,10 @@ int main(int argc, char** argv) {
       std::cerr << " --" << k;
     }
     std::cerr << "\n";
+    return 2;
+  }
+  if (epoch_cycles == 0) {
+    std::cerr << "usage: fig14_redis_large [--shards=N] [--epoch=CYCLES]: --epoch must be > 0\n";
     return 2;
   }
 

@@ -225,6 +225,10 @@ struct Plan {
 template <typename ShardedConfig>
 Plan PlanOf(const ShardedConfig& cfg) {
   NOMAD_CHECK(cfg.shards > 0, "a run needs at least one shard");
+  // Lockstep advances in epochs of epoch_cycles; zero would never advance
+  // virtual time. A one-shard run has no epochs and ignores the field.
+  NOMAD_CHECK(cfg.shards == 1 || cfg.epoch_cycles > 0,
+              "epoch_cycles must be > 0 for a run with shards=", cfg.shards);
   Plan plan;
   plan.shards = cfg.shards;
   plan.exec_threads = cfg.exec_threads;

@@ -12,6 +12,12 @@ LastLevelCache::LastLevelCache(uint64_t capacity_bytes) {
 }
 
 void LastLevelCache::InvalidatePage(Pfn pfn) {
+  if (misses_ == 0) {
+    // Every valid tag was inserted by a miss, so a cache that has never
+    // missed holds no line. Laying out a demoted dataset migrates every
+    // page before the first access; this skips those 64-set scans.
+    return;
+  }
   // Called once per migration (and per frame free), and a tpp run migrates
   // ~100k times per 2M accesses, so this scan was ~20% of that row's wall
   // clock. A page's lines map to *consecutive* sets (SetOf is line mod

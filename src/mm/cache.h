@@ -8,7 +8,10 @@
 //     pointer-chasing benchmark.
 //
 // Tags are physical line addresses, so a migrated page's lines become stale;
-// migration code calls InvalidatePage() on the old frame.
+// migration code calls InvalidatePage() on the old frame. Only a miss
+// inserts a tag, so until the first miss the cache is empty and
+// InvalidatePage() returns at once: the migrations that lay out a demoted
+// dataset before any access cost no tag scan.
 #ifndef SRC_MM_CACHE_H_
 #define SRC_MM_CACHE_H_
 

@@ -82,7 +82,10 @@ class FramePool {
   // NoteScanCandidate call sites (alloc, map install/repoint, prot_none
   // clear, shadow detach). Extra set bits are harmless; a missing bit on an
   // armable frame would silently stop hint faults, so InvariantChecker
-  // audits the superset property.
+  // audits the superset property. The scanner ANDs each word with the
+  // complement of FrameTable::QueuedWord, so frames queued for promotion
+  // (PCQ / pending / migrating) keep their bit but are not visited until
+  // they leave the queues.
   void NoteScanCandidate(Pfn pfn) {
     if (pfn < table_.size()) {
       scan_candidate_[pfn >> 6] |= uint64_t{1} << (pfn & 63);

@@ -11,6 +11,8 @@
 // parallel arrays (owner/vpn/generation/extra_mappers/LRU links). LRU
 // scans, the scan-candidate bitmap, and invariant audits walk contiguous
 // 4-byte words instead of 64B+ structs, so a cache line covers 16 frames.
+// A one-bit-per-frame "queued" sidecar mirrors the PCQ/pending/migrating
+// flags so the hint-fault scanner can skip queued frames 64 at a time.
 // `PageFrame` is a cheap value-type handle over one PFN's slots; accessor
 // inlines keep call sites readable, and outside src/mm they are the ONLY
 // sanctioned way to mutate frame flags (lint rule NL009).
@@ -55,6 +57,9 @@ inline constexpr uint32_t kLruShift = 12;         // 2 bits: LruList
 inline constexpr uint32_t kLruMask = 3u << kLruShift;
 inline constexpr uint32_t kTpmAbortsShift = 16;   // 8 bits: abort count
 inline constexpr uint32_t kTpmAbortsMask = 0xFFu << kTpmAbortsShift;
+// A frame with any of these set is queued for (or in) promotion; the
+// FrameTable's queued sidecar holds their OR.
+inline constexpr uint32_t kQueuedMask = kInPcq | kInPending | kMigrating;
 // Identity bits that survive ResetState() across free/realloc.
 inline constexpr uint32_t kIdentityMask = kTierSlow | kInUse;
 }  // namespace frame_flags
@@ -73,6 +78,7 @@ class FrameTable {
     extra_mappers_.assign(n, 0);
     lru_prev_.assign(n, kInvalidPfn);
     lru_next_.assign(n, kInvalidPfn);
+    queued_.assign((n + 63) / 64, 0);
   }
   uint64_t size() const { return flags_.size(); }
 
@@ -80,8 +86,14 @@ class FrameTable {
   // audits; mutation goes through PageFrame handles only.
   const uint32_t* flags_data() const { return flags_.data(); }
 
+  // Queued sidecar, 64 frames per word: bit (pfn & 63) of word pfn >> 6 is
+  // set iff the frame's flags intersect kQueuedMask. The PageFrame setters
+  // of those flags (and ResetState) keep it in step.
+  uint64_t QueuedWord(uint64_t word_index) const { return queued_[word_index]; }
+
   // Metadata bytes the table holds per frame, for the bytes-of-metadata-
-  // per-simulated-page report in bench_throughput.
+  // per-simulated-page report in bench_throughput. One-bit sidecars (the
+  // queued bits here, FramePool's scan-candidate bitmap) are excluded.
   static constexpr uint64_t BytesPerFrame() {
     return sizeof(uint32_t)          // flags
            + sizeof(AddressSpace*)   // owner
@@ -104,6 +116,7 @@ class FrameTable {
   std::vector<uint32_t> extra_mappers_;
   std::vector<Pfn> lru_prev_;  // intrusive links, kInvalidPfn = list end
   std::vector<Pfn> lru_next_;
+  std::vector<uint64_t> queued_;  // 1 bit/frame, see QueuedWord
 };
 
 // Per-frame metadata handle (struct page equivalent). A 16-byte value type:
@@ -151,13 +164,22 @@ class PageFrame {
   bool is_shadow() const { return Test(frame_flags::kIsShadow); }
   void set_is_shadow(bool v) { Put(frame_flags::kIsShadow, v); }
   bool in_pcq() const { return Test(frame_flags::kInPcq); }
-  void set_in_pcq(bool v) { Put(frame_flags::kInPcq, v); }
+  void set_in_pcq(bool v) {
+    Put(frame_flags::kInPcq, v);
+    SyncQueued();
+  }
   bool pcq_primed() const { return Test(frame_flags::kPcqPrimed); }
   void set_pcq_primed(bool v) { Put(frame_flags::kPcqPrimed, v); }
   bool in_pending() const { return Test(frame_flags::kInPending); }
-  void set_in_pending(bool v) { Put(frame_flags::kInPending, v); }
+  void set_in_pending(bool v) {
+    Put(frame_flags::kInPending, v);
+    SyncQueued();
+  }
   bool migrating() const { return Test(frame_flags::kMigrating); }
-  void set_migrating(bool v) { Put(frame_flags::kMigrating, v); }
+  void set_migrating(bool v) {
+    Put(frame_flags::kMigrating, v);
+    SyncQueued();
+  }
   // Consecutive TPM aborts on this page; drives kpromote's backoff and
   // give-up decisions.
   uint8_t tpm_aborts() const {
@@ -189,6 +211,7 @@ class PageFrame {
   // free/realloc.
   void ResetState() {
     word() &= frame_flags::kIdentityMask;
+    SyncQueued();
     t_->owner_[pfn_] = nullptr;
     t_->vpn_[pfn_] = kInvalidVpn;
     t_->extra_mappers_[pfn_] = 0;
@@ -203,6 +226,12 @@ class PageFrame {
   void Put(uint32_t bit, bool v) {
     uint32_t& w = t_->flags_[pfn_];
     w = v ? (w | bit) : (w & ~bit);
+  }
+  // Recomputes this frame's queued sidecar bit from the flags word.
+  void SyncQueued() {
+    const uint64_t bit = uint64_t{1} << (pfn_ & 63);
+    uint64_t& q = t_->queued_[pfn_ >> 6];
+    q = (word() & frame_flags::kQueuedMask) != 0 ? (q | bit) : (q & ~bit);
   }
 
   FrameTable* t_;

@@ -32,7 +32,6 @@ class NOMAD_SHARD_CONFINED PromotionQueues {
     // a page nominated once stays a candidate without ever faulting again,
     // which is how NOMAD gets by with one fault per migrated page.
     size_t pcq_capacity = 131072;
-    size_t scan_per_fault = 8;  // (unused by the default policy; see kpromote)
   };
 
   explicit PromotionQueues(MemorySystem* ms) : PromotionQueues(ms, Config{}) {}

@@ -67,7 +67,7 @@ size_t Timeline::Channel(const std::string& name) {
   }
   Column col;
   col.name = name;
-  // Backfill so the new column stays index-aligned with existing samples.
+  // Backfill so the new column stays slot-aligned with existing samples.
   col.values.assign(times_.size(), 0);
   columns_.push_back(std::move(col));
   return columns_.size() - 1;
@@ -81,16 +81,19 @@ void Timeline::BeginSample(Cycles time) {
   NOMAD_CHECK(!in_sample_, "BeginSample inside an open sample");
   in_sample_ = true;
   if (times_.size() == config_.capacity && config_.capacity > 0) {
-    times_.erase(times_.begin());
+    // Full: the oldest slot becomes the newest sample.
+    const size_t slot = head_;
+    head_ = (head_ + 1) % times_.size();
+    times_[slot] = time;
     for (Column& col : columns_) {
-      col.values.erase(col.values.begin());
+      col.values[slot] = 0;
     }
     dropped_++;
+    return;
   }
   times_.push_back(time);
   for (Column& col : columns_) {
     col.values.push_back(0);
-    col.set_this_sample = false;
   }
 }
 
@@ -102,8 +105,7 @@ void Timeline::Set(size_t channel, uint64_t value) {
   }
   NOMAD_CHECK(in_sample_, "Set outside BeginSample/EndSample");
   NOMAD_CHECK(channel < columns_.size(), "bad timeline channel ", channel);
-  columns_[channel].values.back() = value;
-  columns_[channel].set_this_sample = true;
+  columns_[channel].values[Newest()] = value;
 }
 
 void Timeline::SetDelta(size_t channel, uint64_t absolute) {
@@ -115,9 +117,8 @@ void Timeline::SetDelta(size_t channel, uint64_t absolute) {
   NOMAD_CHECK(in_sample_, "SetDelta outside BeginSample/EndSample");
   NOMAD_CHECK(channel < columns_.size(), "bad timeline channel ", channel);
   Column& col = columns_[channel];
-  col.values.back() = absolute - col.last_abs;
+  col.values[Newest()] = absolute - col.last_abs;
   col.last_abs = absolute;
-  col.set_this_sample = true;
 }
 
 void Timeline::EndSample() {
@@ -135,15 +136,15 @@ void Timeline::AppendJson(JsonWriter& jw) const {
   jw.Field("samples", static_cast<uint64_t>(times_.size()));
   jw.Field("dropped", dropped_);
   jw.Key("time").BeginArray();
-  for (Cycles t : times_) {
-    jw.Uint(t);
+  for (size_t i = 0; i < times_.size(); i++) {
+    jw.Uint(times_[Slot(i)]);
   }
   jw.EndArray();
   jw.Key("channels").BeginObject();
   for (const Column& col : columns_) {
     jw.Key(col.name).BeginArray();
-    for (uint64_t v : col.values) {
-      jw.Uint(v);
+    for (size_t i = 0; i < times_.size(); i++) {
+      jw.Uint(col.values[Slot(i)]);
     }
     jw.EndArray();
   }
@@ -157,10 +158,11 @@ void Timeline::WriteCsv(std::ostream& out) const {
     out << ',' << col.name;
   }
   out << '\n';
-  for (size_t row = 0; row < times_.size(); row++) {
-    out << times_[row];
+  for (size_t i = 0; i < times_.size(); i++) {
+    const size_t slot = Slot(i);
+    out << times_[slot];
     for (const Column& col : columns_) {
-      out << ',' << col.values[row];
+      out << ',' << col.values[slot];
     }
     out << '\n';
   }

@@ -41,8 +41,9 @@ class NOMAD_SHARD_CONFINED Timeline {
     // sampler honors it exactly; the sharded driver rounds it up to whole
     // lockstep epochs so samples stay thread-count independent.
     Cycles interval = 100000;
-    // Samples retained; beyond this the oldest sample is evicted (and
-    // counted in dropped(), mirroring the TraceSink ring contract).
+    // Samples retained; beyond this the oldest sample is overwritten (and
+    // counted in dropped(), mirroring the TraceSink ring contract). 0 keeps
+    // every sample.
     size_t capacity = 4096;
   };
 
@@ -80,13 +81,19 @@ class NOMAD_SHARD_CONFINED Timeline {
  private:
   struct Column {
     std::string name;
-    std::vector<uint64_t> values;  // index-aligned with times_
+    std::vector<uint64_t> values;  // slot-aligned with times_
     uint64_t last_abs = 0;         // SetDelta's remembered absolute
-    bool set_this_sample = false;
   };
 
+  // Storage slot of the i-th retained sample, oldest first.
+  size_t Slot(size_t i) const { return (head_ + i) % times_.size(); }
+  size_t Newest() const { return Slot(times_.size() - 1); }
+
   Config config_;
+  // Ring storage: grows to capacity, then each sample overwrites the
+  // oldest slot, head_, and head_ moves on. Exports read from head_.
   std::vector<Cycles> times_;
+  size_t head_ = 0;
   std::vector<Column> columns_;
   uint64_t dropped_ = 0;
   bool in_sample_ = false;

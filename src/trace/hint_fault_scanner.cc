@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "src/check/check.h"
+
 namespace nomad {
 
 Pfn HintFaultScanner::FirstSlowPfn() const { return ms_->pool().TotalFrames(Tier::kFast); }
@@ -27,6 +29,11 @@ Cycles HintFaultScanner::Step(Engine& engine) {
   // loop examined, but skips non-candidate frames at 64-frame word
   // granularity instead of loading each PageFrame. In steady state (most
   // slow pages already armed) a window is a handful of word loads.
+  // Queued frames (PCQ / pending / migrating) are masked out with the
+  // frame table's queued sidecar: a thrashing NOMAD run keeps thousands of
+  // them queued, and loading each on every sweep would cost more host time
+  // than the arming. They keep their candidate bit for the first sweep
+  // after they leave the queues.
   if (cursor_ >= end) {
     // Previous step ended exactly on the boundary: reset and rest, matching
     // the old loop's empty first iteration.
@@ -35,7 +42,7 @@ Cycles HintFaultScanner::Step(Engine& engine) {
     const Pfn win_start = cursor_;
     const Pfn win_end = std::min(win_start + config_.pages_per_round, end);
     for (uint64_t w = win_start >> 6; w <= (win_end - 1) >> 6; w++) {
-      uint64_t bits = pool.ScanCandidateWord(w);
+      uint64_t bits = pool.ScanCandidateWord(w) & ~pool.table().QueuedWord(w);
       // Mask off frames outside [win_start, win_end).
       const Pfn word_base = w << 6;
       if (word_base < win_start) {
@@ -55,9 +62,8 @@ Cycles HintFaultScanner::Step(Engine& engine) {
           pool.ClearScanCandidate(pfn);
           continue;
         }
-        if (f.migrating() || f.in_pcq() || f.in_pending()) {
-          continue;  // transient: revisit next sweep, keep the bit
-        }
+        NOMAD_CHECK(!f.migrating() && !f.in_pcq() && !f.in_pending(),
+                    "queued sidecar out of step with the flags of pfn=", pfn);
         Pte* pte = ms_->PteOf(*f.owner(), f.vpn());
         if (pte == nullptr || !pte->present || pte->prot_none) {
           // Absent PTEs come back via map installs; armed pages come back

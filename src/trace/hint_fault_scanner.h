@@ -9,7 +9,11 @@
 // decides what to do.
 //
 // NOMAD guarantees one fault per migration (sec. 3.1), so the scanner
-// skips pages that are queued (PCQ / pending) or mid-transaction.
+// skips pages that are queued (PCQ / pending) or mid-transaction. It skips
+// them 64 at a time: each scan-candidate word is masked with the frame
+// table's queued sidecar (FrameTable::QueuedWord, src/mm/page.h), so a
+// queued frame is never loaded, and its candidate bit survives until the
+// first sweep after it leaves the queues.
 #ifndef SRC_TRACE_HINT_FAULT_SCANNER_H_
 #define SRC_TRACE_HINT_FAULT_SCANNER_H_
 

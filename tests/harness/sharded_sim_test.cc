@@ -235,5 +235,19 @@ TEST(ShardedYcsbTest, ThreadCountDoesNotChangeResults) {
   EXPECT_GT(a.total_ops, 0u);
 }
 
+TEST(ShardedSimDeathTest, ZeroEpochIsRejectedWithMoreThanOneShard) {
+  // Zero-cycle epochs never advance virtual time: the run used to spin
+  // through max_epochs empty epochs, or divide by zero when a timeline
+  // was on. It must stop before building any shard, naming the field.
+  ShardedRunConfig micro = SmallConfig(PolicyKind::kNomad);
+  micro.epoch_cycles = 0;
+  EXPECT_DEATH(RunShardedMicro(micro), "epoch_cycles must be > 0.*shards=4");
+  micro.base.timeline_interval = 200000;
+  EXPECT_DEATH(RunShardedMicro(micro), "epoch_cycles must be > 0.*shards=4");
+  ShardedYcsbConfig ycsb = SmallYcsbConfig();
+  ycsb.epoch_cycles = 0;
+  EXPECT_DEATH(RunShardedYcsb(ycsb), "epoch_cycles must be > 0.*shards=4");
+}
+
 }  // namespace
 }  // namespace nomad

@@ -58,6 +58,21 @@ TEST(CacheTest, InvalidatePageDropsAllItsLines) {
   EXPECT_FALSE(llc.Access(pfn * kPageSize + 63 * kCacheLineSize));
 }
 
+TEST(CacheTest, InvalidatePageBeforeAnyAccessIsANoOp) {
+  // A cache that has never missed is empty, so invalidating returns at
+  // once; the first access afterwards still misses, then hits.
+  LastLevelCache llc(1 << 20);
+  for (Pfn pfn = 0; pfn < 8; pfn++) {
+    llc.InvalidatePage(pfn);
+  }
+  EXPECT_EQ(llc.hits(), 0u);
+  EXPECT_EQ(llc.misses(), 0u);
+  EXPECT_FALSE(llc.Access(3 * kPageSize));
+  EXPECT_TRUE(llc.Access(3 * kPageSize));
+  EXPECT_EQ(llc.misses(), 1u);
+  EXPECT_EQ(llc.hits(), 1u);
+}
+
 TEST(CacheTest, InvalidatePageLeavesOtherPages) {
   LastLevelCache llc(1 << 20);
   llc.Access(5 * kPageSize);

@@ -179,6 +179,91 @@ TEST_F(PageFlagsTest, FlagsDataViewMatchesAccessors) {
   EXPECT_EQ(w & frame_flags::kReferenced, 0u);
 }
 
+// The queued sidecar bit of `pfn`, read the way the scanner reads it.
+bool Queued(const FrameTable& t, Pfn pfn) { return (t.QueuedWord(pfn >> 6) >> (pfn & 63)) & 1; }
+
+TEST_F(PageFlagsTest, QueuedSidecarFollowsEachQueueFlag) {
+  PageFrame f(&table_, 1);
+  for (void (PageFrame::*set)(bool) :
+       {&PageFrame::set_in_pcq, &PageFrame::set_in_pending, &PageFrame::set_migrating}) {
+    (f.*set)(true);
+    EXPECT_TRUE(Queued(table_, 1));
+    EXPECT_FALSE(Queued(table_, 2));  // one bit per frame
+    (f.*set)(false);
+    EXPECT_FALSE(Queued(table_, 1));
+  }
+}
+
+TEST_F(PageFlagsTest, QueuedSidecarStaysSetWhileAnyQueueFlagIs) {
+  // The bit is the OR of the three flags: with two set, clearing one must
+  // leave it set (a page both pending and migrating is still queued).
+  using Setter = void (PageFrame::*)(bool);
+  const Setter setters[] = {&PageFrame::set_in_pcq, &PageFrame::set_in_pending,
+                            &PageFrame::set_migrating};
+  PageFrame f(&table_, 3);
+  for (Setter a : setters) {
+    for (Setter b : setters) {
+      if (a == b) {
+        continue;
+      }
+      (f.*a)(true);
+      (f.*b)(true);
+      (f.*a)(false);
+      EXPECT_TRUE(Queued(table_, 3));
+      (f.*b)(false);
+      EXPECT_FALSE(Queued(table_, 3));
+    }
+  }
+}
+
+TEST_F(PageFlagsTest, OtherSettersLeaveQueuedSidecarAlone) {
+  PageFrame queued(&table_, 4);
+  PageFrame idle(&table_, 5);
+  queued.set_in_pcq(true);
+  for (PageFrame f : {queued, idle}) {
+    const bool before = Queued(table_, f.pfn());
+    for (bool v : {true, false}) {
+      f.set_in_use(v);
+      f.set_referenced(v);
+      f.set_active(v);
+      f.set_promoted(v);
+      f.set_shadowed(v);
+      f.set_is_shadow(v);
+      f.set_pcq_primed(v);
+      f.set_tier(v ? Tier::kSlow : Tier::kFast);
+      f.set_lru(v ? LruList::kActive : LruList::kNone);
+      f.set_tpm_aborts(v ? 0xFF : 0);
+      f.bump_tpm_aborts();
+      f.bump_generation();
+      f.set_owner(nullptr);
+      f.set_vpn(v ? 99 : kInvalidVpn);
+      f.set_extra_mappers(v ? 1 : 0);
+      f.set_lru_prev(v ? 1 : kInvalidPfn);
+      f.set_lru_next(v ? 2 : kInvalidPfn);
+      EXPECT_EQ(Queued(table_, f.pfn()), before) << "pfn " << f.pfn();
+    }
+  }
+}
+
+TEST_F(PageFlagsTest, ResetStateAndResizeClearQueuedSidecar) {
+  PageFrame f(&table_, 6);
+  f.set_in_use(true);
+  f.set_in_pcq(true);
+  f.set_in_pending(true);
+  f.set_migrating(true);
+  f.ResetState();
+  EXPECT_FALSE(Queued(table_, 6));
+
+  // Resize zeroes every word, including a second one.
+  table_.Resize(130);
+  PageFrame g(&table_, 129);
+  g.set_migrating(true);
+  ASSERT_TRUE(Queued(table_, 129));
+  table_.Resize(130);
+  EXPECT_EQ(table_.QueuedWord(0), 0u);
+  EXPECT_EQ(table_.QueuedWord(2), 0u);
+}
+
 TEST_F(PageFlagsTest, BytesPerFrameMatchesDeclaredArrays) {
   // 4 (flags) + 8 (owner) + 8 (vpn) + 4 (generation) + 4 (extra_mappers)
   // + 16 (lru links) = 44: the number bench_throughput reports as

@@ -143,6 +143,53 @@ TEST(TimelineTest, RingEvictsOldestAndCountsDrops) {
       csv.str());
 }
 
+TEST(TimelineTest, RingKeepsOrderAcrossWrapAndBackfillsLateChannels) {
+  // Seven samples through a three-slot ring: the ring wraps twice, and a
+  // channel first created after the wrap must read 0 for the retained
+  // sample that predates it. Exports run oldest to newest from the head.
+  Timeline tl(SmallConfig(/*capacity=*/3));
+  const size_t fast = tl.Channel(tl::kFastFree);
+  const size_t commits = tl.Channel("cnt.nomad.tpm_commit");
+  for (uint64_t i = 1; i <= 5; i++) {
+    tl.BeginSample(i * 100);
+    tl.Set(fast, i);
+    tl.SetDelta(commits, i * i);
+    tl.EndSample();
+  }
+  const size_t pcq = tl.Channel(tl::kPcqDepth);
+  for (uint64_t i = 6; i <= 7; i++) {
+    tl.BeginSample(i * 100);
+    tl.Set(fast, i);
+    tl.SetDelta(commits, i * i);
+    tl.Set(pcq, i * 10);
+    tl.EndSample();
+  }
+  if (!kTracingEnabled) {
+    EXPECT_EQ(0u, tl.num_samples());
+    EXPECT_EQ(0u, tl.dropped());
+    return;
+  }
+  EXPECT_EQ(3u, tl.num_samples());
+  EXPECT_EQ(4u, tl.dropped());
+  std::ostringstream csv;
+  tl.WriteCsv(csv);
+  EXPECT_EQ(
+      "time,tier.fast.free_frames,cnt.nomad.tpm_commit,pcq.depth\n"
+      "500,5,9,0\n"  // pcq.depth did not exist yet: backfilled
+      "600,6,11,60\n"
+      "700,7,13,70\n",
+      csv.str());
+  std::ostringstream out;
+  JsonWriter jw(out);
+  tl.AppendJson(jw);
+  const std::string json = out.str();
+  EXPECT_NE(std::string::npos, json.find("\"dropped\":4"));
+  EXPECT_NE(std::string::npos, json.find("\"time\":[500,600,700]"));
+  EXPECT_NE(std::string::npos, json.find("\"tier.fast.free_frames\":[5,6,7]"));
+  EXPECT_NE(std::string::npos, json.find("\"cnt.nomad.tpm_commit\":[9,11,13]"));
+  EXPECT_NE(std::string::npos, json.find("\"pcq.depth\":[0,60,70]"));
+}
+
 TEST(TimelineTest, JsonSectionCarriesSchemaAndColumns) {
   Timeline tl(SmallConfig());
   const size_t fast = tl.Channel(tl::kFastFree);

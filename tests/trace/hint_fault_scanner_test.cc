@@ -66,6 +66,16 @@ TEST_F(ScannerTest, SkipsQueuedAndMigratingPages) {
   EXPECT_FALSE(ms_.PteOf(as_, 0)->prot_none);
   EXPECT_FALSE(ms_.PteOf(as_, 1)->prot_none);
   EXPECT_FALSE(ms_.PteOf(as_, 2)->prot_none);
+  // Once the pages leave the queues, the next sweep arms all three: the
+  // scanner's queued mask must follow the flags back down.
+  ms_.pool().frame(a).set_in_pcq(false);
+  ms_.pool().frame(b).set_in_pending(false);
+  ms_.pool().frame(c).set_migrating(false);
+  engine_.Run(engine_.now() + 10000);
+  EXPECT_TRUE(ms_.PteOf(as_, 0)->prot_none);
+  EXPECT_TRUE(ms_.PteOf(as_, 1)->prot_none);
+  EXPECT_TRUE(ms_.PteOf(as_, 2)->prot_none);
+  EXPECT_EQ(scanner.pages_armed(), 3u);
 }
 
 TEST_F(ScannerTest, SkipsShadowFrames) {

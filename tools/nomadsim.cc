@@ -41,7 +41,7 @@
 //                                 metrics equal those of --shards=0 with
 //                                 --threads=<app_threads>.
 //   --app_threads=N      [2]      simulated app threads per shard
-//   --epoch=CYCLES       [500000] virtual-time barrier interval
+//   --epoch=CYCLES       [500000] virtual-time barrier interval (> 0)
 #include <algorithm>
 #include <iostream>
 #include <memory>
@@ -111,6 +111,10 @@ int main(int argc, char** argv) {
       std::cerr << " --" << k;
     }
     std::cerr << "\n";
+    return 2;
+  }
+  if (epoch_cycles == 0) {
+    std::cerr << "usage: nomadsim [--shards=N] [--epoch=CYCLES]: --epoch must be > 0\n";
     return 2;
   }
 
