@@ -50,7 +50,13 @@ struct NOMAD_SHARD_CONFINED Control {
 };
 
 // The lockstep epoch engine shared by every sharded benchmark. Each of T
-// worker threads owns the statically-assigned shards {t, t+T, t+2T, ...}.
+// worker threads owns the statically-assigned shards {t, t+T, t+2T, ...}
+// and builds them, in that order, with `build` (which returns the shard's
+// Sim) before its first epoch. A worker never reads another worker's
+// shards, and the end-of-epoch-0 barrier orders every build before the
+// first drain, so building needs no barrier of its own. With T == 1 the
+// calling thread builds every shard in shard order.
+//
 // An epoch ends at ONE phase-flip barrier: whichever worker arrives last
 // drains the router and updates the controller inside the barrier's
 // completion callback (under the barrier mutex, before any waiter is
@@ -59,14 +65,14 @@ struct NOMAD_SHARD_CONFINED Control {
 // before arriving. `on_epoch` runs after a shard's engine reaches the
 // epoch boundary and may inspect that shard only (benchmark-specific
 // snapshots live there).
-Control RunLockstep(std::vector<Sim*>& sims, uint32_t exec_threads, Cycles epoch_cycles,
-                    uint64_t max_epochs, ShardRouter& router,
-                    const std::function<void(uint32_t, uint64_t)>& on_epoch,
+Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
+                    uint32_t exec_threads, Cycles epoch_cycles, uint64_t max_epochs,
+                    ShardRouter& router, const std::function<void(uint32_t, uint64_t)>& on_epoch,
                     uint64_t watchdog_stall_epochs = 0) {
-  const uint32_t S = static_cast<uint32_t>(sims.size());
   const uint32_t T = std::max<uint32_t>(1, std::min<uint32_t>(exec_threads, S));
   ShardBarrier barrier(T);
   Control ctrl;
+  std::vector<Sim*> sims(S, nullptr);  // sims[s] is written by its owning worker
   std::vector<uint64_t> last_reported(S, 0);
   std::vector<char> done(S, 0);
   // Watchdog state. last_progress / stalled are written only inside the
@@ -78,6 +84,9 @@ Control RunLockstep(std::vector<Sim*>& sims, uint32_t exec_threads, Cycles epoch
   std::vector<uint64_t> stall_pending(S, 0);
 
   auto worker = [&](uint32_t t) {
+    for (uint32_t s = t; s < S; s += T) {
+      sims[s] = &build(s);
+    }
     for (uint64_t epoch = 0;; epoch++) {
       const Cycles epoch_end = (epoch + 1) * epoch_cycles;
       for (uint32_t s = t; s < S; s += T) {
@@ -247,8 +256,9 @@ uint64_t SampleEpochs(const Plan& plan) {
 }
 
 // Everything one shard owns: its machine, the workload actors on it and the
-// data they read. Worker threads touch only the shards they were statically
-// assigned; the calling thread reads the shards after every worker joined.
+// data they read. A worker thread builds and runs only the shards it was
+// statically assigned; the calling thread reads the shards after every
+// worker joined.
 struct NOMAD_SHARD_CONFINED Shard {
   std::unique_ptr<Sim> sim;
   std::unique_ptr<ScrambledZipfian> zipf;  // the micro workload's key sampler
@@ -260,7 +270,8 @@ struct NOMAD_SHARD_CONFINED Shard {
 };
 
 // Builds shard s's machine with the wiring every run gets: the shard's own
-// fault injector, span records and timeline.
+// fault injector, span records and timeline. Runs on the worker thread that
+// owns shard s, so plan.fault_factory is called from several threads.
 Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, PolicyKind policy,
               uint64_t as_pages, Shard& sh) {
   sh.sim = std::make_unique<Sim>(platform, policy, as_pages);
@@ -307,14 +318,23 @@ void AddApp(Shard& sh, std::unique_ptr<WorkloadActor> app) {
   sh.apps.push_back(std::move(app));
 }
 
-// Runs the built shards until every workload finished, taking each shard's
-// first-half snapshot on the way.
-Control RunShards(const Plan& plan, std::vector<Shard>& shards) {
+// Builds shard s into `sh`: its Sim, the workload actors and their data.
+// It may touch nothing but `sh` and read-only inputs, because the shards
+// of a lockstep run are built concurrently.
+using BuildShard = std::function<void(uint32_t s, Shard& sh)>;
+
+// Builds every shard and runs them until every workload finished, taking
+// each shard's first-half snapshot on the way. A shard's content depends
+// only on its own config and seed, and each shard has its own FramePool,
+// so where and in what order shards are built cannot change any PFN or
+// result.
+Control RunShards(const Plan& plan, std::vector<Shard>& shards, const BuildShard& build) {
   if (plan.shards == 1) {
     // The classic loop: an exact half-way snapshot, and a stop as soon as
     // the workloads finish. Lockstep would keep the daemons running on to
     // the next epoch boundary, which changes the counters.
     Shard& sh = shards[0];
+    build(0, sh);
     sh.sim->RunUntilOps(sh.total_ops / 2);
     sh.first_half = sh.sim->ms().counters();
     sh.half_snapped = true;
@@ -323,14 +343,15 @@ Control RunShards(const Plan& plan, std::vector<Shard>& shards) {
     ctrl.total_ops = OpsDone(*sh.sim);
     return ctrl;
   }
-  std::vector<Sim*> sims;
-  for (Shard& sh : shards) {
-    sims.push_back(sh.sim.get());
-  }
   const uint64_t sample_epochs = plan.timeline_interval > 0 ? SampleEpochs(plan) : 0;
   ShardRouter router(plan.shards);
   return RunLockstep(
-      sims, plan.exec_threads, plan.epoch_cycles, plan.max_epochs, router,
+      plan.shards,
+      [&](uint32_t s) -> Sim& {
+        build(s, shards[s]);
+        return *shards[s].sim;
+      },
+      plan.exec_threads, plan.epoch_cycles, plan.max_epochs, router,
       [&](uint32_t s, uint64_t epoch) {
         Shard& sh = shards[s];
         if (!sh.half_snapped && OpsDone(*sh.sim) * 2 >= sh.total_ops) {
@@ -364,10 +385,11 @@ void CaptureShard(MetricsCollector* collector, const std::string& label, uint32_
   collector->Capture(name, sim, report);
 }
 
-// Runs built application shards and folds each into an AppRunResult.
-ShardedAppResult RunApps(const Plan& plan, std::vector<Shard>& shards,
-                         MetricsCollector* collector, const std::string& label) {
-  const Control ctrl = RunShards(plan, shards);
+// Builds and runs application shards and folds each into an AppRunResult.
+ShardedAppResult RunApps(const Plan& plan, const BuildShard& build, MetricsCollector* collector,
+                         const std::string& label) {
+  std::vector<Shard> shards(plan.shards);
+  const Control ctrl = RunShards(plan, shards, build);
   ShardedAppResult result;
   result.total_ops = ctrl.total_ops;
   result.messages = ctrl.messages;
@@ -410,10 +432,9 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
   const uint32_t S = plan.shards;
 
   // --- partition: each shard is a 1/N machine running 1/N of the work ---
-  // Setup runs sequentially on the calling thread so allocation order (and
-  // thus every PFN layout) is independent of the worker count.
+  // Each shard is built by the worker that runs it (see RunShards).
   std::vector<Shard> shards(S);
-  for (uint32_t s = 0; s < S; s++) {
+  const Control ctrl = RunShards(plan, shards, [&](uint32_t s, Shard& sh) {
     MicroRunConfig c = cfg.base;
     c.rss_gb /= S;
     c.wss_gb /= S;
@@ -426,7 +447,6 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
     // correlating with the +1000+thread offsets used inside a shard.
     c.seed = cfg.base.seed + 7919 * s;
 
-    Shard& sh = shards[s];
     sh.total_ops = c.total_ops;
     const Scale scale{c.scale_denom};
     Sim& sim = BuildSim(plan, s, MakePlatform(c.platform, scale, c.fast_gb, c.slow_gb),
@@ -450,8 +470,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
       wcfg.write_fraction = c.write_fraction;
       AddApp(sh, std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), sh.zipf.get(), wcfg));
     }
-  }
-  const Control ctrl = RunShards(plan, shards);
+  });
 
   // --- merge, strictly in shard-id order ---
   ShardedRunResult result;
@@ -507,8 +526,7 @@ ShardedAppResult RunShardedYcsb(const ShardedYcsbConfig& cfg, MetricsCollector* 
                                 const std::string& label) {
   const Plan plan = PlanOf(cfg);
   const uint32_t S = plan.shards;
-  std::vector<Shard> shards(S);
-  for (uint32_t s = 0; s < S; s++) {
+  const auto build = [&](uint32_t s, Shard& sh) {
     YcsbRunConfig c = cfg.base;
     c.record_count = cfg.base.record_count / S;
     c.total_ops = cfg.base.total_ops / S;
@@ -516,7 +534,6 @@ ShardedAppResult RunShardedYcsb(const ShardedYcsbConfig& cfg, MetricsCollector* 
     c.kernel_gb /= S;
     c.seed = cfg.base.seed + 7919 * s;
 
-    Shard& sh = shards[s];
     sh.total_ops = c.total_ops;
     KvStore::Config kcfg;
     kcfg.record_count = c.record_count;
@@ -531,8 +548,8 @@ ShardedAppResult RunShardedYcsb(const ShardedYcsbConfig& cfg, MetricsCollector* 
     // transactions at realistic granularity.
     wcfg.base.batch = 1;
     AddApp(sh, std::make_unique<YcsbWorkload>(&sim.ms(), &sim.as(), sh.store.get(), wcfg));
-  }
-  return RunApps(plan, shards, collector, label);
+  };
+  return RunApps(plan, build, collector, label);
 }
 
 MicroRunResult RunMicroBench(const MicroRunConfig& config, MetricsCollector* collector,
@@ -562,10 +579,11 @@ AppRunResult RunPageRankBench(const PageRankRunConfig& config, MetricsCollector*
 
   // Standard placement: the graph spreads over fast then slow memory.
   const Plan plan;
-  std::vector<Shard> shards(1);
-  Sim& sim = BuildAppSim(plan, 0, config, end, /*demote=*/false, shards[0]);
-  AddApp(shards[0], std::make_unique<PageRankWorkload>(&sim.ms(), &sim.as(), wcfg));
-  return RunApps(plan, shards, collector, label).per_shard[0];
+  const auto build = [&](uint32_t s, Shard& sh) {
+    Sim& sim = BuildAppSim(plan, s, config, end, /*demote=*/false, sh);
+    AddApp(sh, std::make_unique<PageRankWorkload>(&sim.ms(), &sim.as(), wcfg));
+  };
+  return RunApps(plan, build, collector, label).per_shard[0];
 }
 
 AppRunResult RunLiblinearBench(const LiblinearRunConfig& config, MetricsCollector* collector,
@@ -592,12 +610,13 @@ AppRunResult RunLiblinearBench(const LiblinearRunConfig& config, MetricsCollecto
 
   // The paper demotes all Liblinear pages to the slow tier before running.
   const Plan plan;
-  std::vector<Shard> shards(1);
-  Sim& sim = BuildAppSim(plan, 0, config, end, /*demote=*/true, shards[0]);
-  for (const LiblinearWorkload::Config& wcfg : wcfgs) {
-    AddApp(shards[0], std::make_unique<LiblinearWorkload>(&sim.ms(), &sim.as(), wcfg));
-  }
-  return RunApps(plan, shards, collector, label).per_shard[0];
+  const auto build = [&](uint32_t s, Shard& sh) {
+    Sim& sim = BuildAppSim(plan, s, config, end, /*demote=*/true, sh);
+    for (const LiblinearWorkload::Config& wcfg : wcfgs) {
+      AddApp(sh, std::make_unique<LiblinearWorkload>(&sim.ms(), &sim.as(), wcfg));
+    }
+  };
+  return RunApps(plan, build, collector, label).per_shard[0];
 }
 
 }  // namespace nomad

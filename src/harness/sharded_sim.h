@@ -13,7 +13,8 @@
 // soon as the workloads finish. More shards advance in lockstep virtual-
 // time epochs on a pool of OS worker threads and communicate exclusively
 // through the ShardRouter (see src/sim/shard.h for the determinism
-// argument); worker threads are an execution detail — any --threads value
+// argument). Each worker builds the shards it owns before its first epoch.
+// Worker threads are an execution detail — any --threads value
 // produces byte-identical metrics, which scripts/check_determinism.py
 // --threads-compare enforces.
 #ifndef SRC_HARNESS_SHARDED_SIM_H_
@@ -43,7 +44,10 @@ struct ShardedRunConfig {
   bool audit = false;  // run InvariantChecker on every quiesced shard
   // Chaos seam: when set, every shard gets its own FaultInjector (built
   // from the shard id, so schedules can differ per shard) installed into
-  // its MemorySystem before the run. The lockstep loop additionally
+  // its MemorySystem before the run. The factory is called once per shard
+  // by the worker thread that builds that shard, concurrently with the
+  // other shards' calls, so it must be safe to call from several threads
+  // and must depend only on the shard id. The lockstep loop additionally
   // consults the shard-aware kinds (kShardStall, kShardDelay,
   // kAllocFailWave) once per (shard, epoch) from the shard's OWN injector,
   // which keeps every fault decision a pure function of (shard seed,

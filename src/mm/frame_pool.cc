@@ -13,18 +13,8 @@ FramePool::FramePool(const PlatformSpec& platform) {
   // the frames the pre-bitmap implementation would have, lazily clearing
   // bits for frames it finds un-armable.
   scan_candidate_.assign((table_.size() + 63) / 64, ~uint64_t{0});
-  free_[0].reserve(n_fast_);
-  free_[1].reserve(n_slow);
-  // Push in reverse so that allocation order is ascending PFN, which makes
-  // tests and placement deterministic and easy to reason about.
-  for (Pfn p = n_fast_; p-- > 0;) {
-    frame(p).set_tier(Tier::kFast);
-    free_[0].push_back(p);
-  }
-  for (Pfn p = n_fast_ + n_slow; p-- > n_fast_;) {
-    frame(p).set_tier(Tier::kSlow);
-    free_[1].push_back(p);
-  }
+  next_fresh_[0] = 0;
+  next_fresh_[1] = n_fast_;
   // Linux-like defaults: low watermark at ~1/128 of the node, high at 3x low.
   for (int t = 0; t < kNumTiers; t++) {
     uint64_t total = t == 0 ? n_fast_ : n_slow;
@@ -48,16 +38,24 @@ Pfn FramePool::AllocOn(Tier tier) {
       return kInvalidPfn;
     }
   }
-  auto& list = free_[TierIndex(tier)];
-  if (list.empty()) {
-    if (alloc_failure_hook_ && alloc_failure_hook_(tier) && !list.empty()) {
+  if (FreeFrames(tier) == 0) {
+    if (alloc_failure_hook_ && alloc_failure_hook_(tier) && FreeFrames(tier) > 0) {
       // The hook reclaimed something; fall through to allocate it.
     } else {
       return kInvalidPfn;
     }
   }
-  Pfn pfn = list.back();
-  list.pop_back();
+  // Freed frames first, last in first out; then the lowest PFN never
+  // allocated. Placement, and so every result, depends on this order.
+  auto& freed = freed_[TierIndex(tier)];
+  Pfn pfn;
+  if (!freed.empty()) {
+    pfn = freed.back();
+    freed.pop_back();
+  } else {
+    pfn = next_fresh_[TierIndex(tier)]++;
+    frame(pfn).set_tier(tier);
+  }
   PageFrame f = frame(pfn);
   NOMAD_CHECK(!f.in_use(), "free-list frame already in use, pfn=", pfn, " vpn=", f.vpn(),
               " tier=", static_cast<int>(f.tier()));
@@ -87,7 +85,7 @@ void FramePool::Free(Pfn pfn) {
   f.set_in_use(false);
   f.bump_generation();
   f.ResetState();
-  free_[TierIndex(f.tier())].push_back(pfn);
+  freed_[TierIndex(f.tier())].push_back(pfn);
 }
 
 }  // namespace nomad

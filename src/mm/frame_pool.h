@@ -5,6 +5,13 @@
 // an allocation-failure path that NOMAD hooks to reclaim shadow pages
 // (sec. 3.2, "Reclaiming shadow pages"). Frames are single 4 KB pages; the
 // paper does not exercise compound pages.
+//
+// A node's free frames are the frames freed so far, on a LIFO list, plus
+// the frames never allocated, which are the node's PFNs from a cursor up.
+// Allocation pops a freed frame if there is one and otherwise takes the
+// cursor's PFN, so frames are first handed out in ascending PFN order.
+// Nothing is written per frame up front: with FrameTable's lazily backed
+// arrays, metadata for a frame never allocated never becomes resident.
 #ifndef SRC_MM_FRAME_POOL_H_
 #define SRC_MM_FRAME_POOL_H_
 
@@ -56,7 +63,10 @@ class FramePool {
 
   Tier TierOf(Pfn pfn) const { return pfn < n_fast_ ? Tier::kFast : Tier::kSlow; }
 
-  uint64_t FreeFrames(Tier tier) const { return free_[TierIndex(tier)].size(); }
+  uint64_t FreeFrames(Tier tier) const {
+    const int t = TierIndex(tier);
+    return freed_[t].size() + (TierEnd(t) - next_fresh_[t]);
+  }
   uint64_t TotalFrames(Tier tier) const {
     return tier == Tier::kFast ? n_fast_ : table_.size() - n_fast_;
   }
@@ -114,9 +124,15 @@ class FramePool {
   uint64_t oom_count() const { return oom_count_; }
 
  private:
+  // One past the last PFN of tier index t.
+  Pfn TierEnd(int t) const { return t == 0 ? n_fast_ : table_.size(); }
+
   FrameTable table_;
   std::vector<uint64_t> scan_candidate_;  // 1 bit/frame, see NoteScanCandidate
-  std::vector<Pfn> free_[kNumTiers];  // LIFO free lists
+  std::vector<Pfn> freed_[kNumTiers];  // LIFO lists of freed frames
+  // Per tier, the first PFN never allocated: [next_fresh_[t], TierEnd(t))
+  // are free and have never been written.
+  Pfn next_fresh_[kNumTiers] = {0, 0};
   uint64_t n_fast_ = 0;
   uint64_t low_wm_[kNumTiers] = {0, 0};
   uint64_t high_wm_[kNumTiers] = {0, 0};

@@ -16,12 +16,24 @@
 // `PageFrame` is a cheap value-type handle over one PFN's slots; accessor
 // inlines keep call sites readable, and outside src/mm they are the ONLY
 // sanctioned way to mutate frame flags (lint rule NL009).
+//
+// Zero means "none" in every array: `vpn` and the LRU links are stored as
+// value + 1, so an all-zero slot reads back as kInvalidVpn / kInvalidPfn
+// (both ~0), a null owner, generation 0 and a clear flags word. The arrays
+// are therefore zero-filled anonymous mappings (ZeroedArray) that
+// FrameTable never writes up front: the kernel backs a page of metadata
+// only once a frame on it is first written, so resident metadata follows
+// the frames ever allocated, not the machine's capacity.
 #ifndef SRC_MM_PAGE_H_
 #define SRC_MM_PAGE_H_
 
-#include <cstdint>
-#include <vector>
+#include <sys/mman.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+
+#include "src/check/check.h"
 #include "src/mem/tier.h"
 
 namespace nomad {
@@ -66,21 +78,53 @@ inline constexpr uint32_t kIdentityMask = kTierSlow | kInUse;
 
 class PageFrame;
 
+// A fixed-size array of T that starts all-zero: anonymous memory mapped
+// from the kernel, which reads as zero and backs a page only when it is
+// first written. Nothing is resident until written, and destruction hands
+// the pages back. T must be valid as all-zero bytes.
+template <typename T>
+class ZeroedArray {
+ public:
+  void Reset(uint64_t n) {
+    data_.reset();
+    if (n == 0) {
+      return;
+    }
+    const size_t bytes = n * sizeof(T);
+    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    NOMAD_CHECK(p != MAP_FAILED, "mmap of ", bytes, " bytes for ", n, " slots failed");
+    data_ = std::unique_ptr<T[], Unmap>(static_cast<T*>(p), Unmap{bytes});
+  }
+  T& operator[](uint64_t i) { return data_[i]; }
+  const T& operator[](uint64_t i) const { return data_[i]; }
+  const T* data() const { return data_.get(); }
+
+ private:
+  struct Unmap {
+    size_t bytes = 0;
+    void operator()(T* p) const { munmap(p, bytes); }
+  };
+  std::unique_ptr<T[], Unmap> data_;
+};
+
 // Struct-of-arrays backing store for every frame's metadata. Owned by
 // FramePool; sized once at platform construction.
 class FrameTable {
  public:
+  // Every frame reads as never used: clear flags, no owner, kInvalidVpn,
+  // generation 0, unlinked. Writes nothing per frame.
   void Resize(uint64_t n) {
-    flags_.assign(n, 0);
-    owner_.assign(n, nullptr);
-    vpn_.assign(n, kInvalidVpn);
-    generation_.assign(n, 0);
-    extra_mappers_.assign(n, 0);
-    lru_prev_.assign(n, kInvalidPfn);
-    lru_next_.assign(n, kInvalidPfn);
-    queued_.assign((n + 63) / 64, 0);
+    size_ = n;
+    flags_.Reset(n);
+    owner_.Reset(n);
+    vpn_plus1_.Reset(n);
+    generation_.Reset(n);
+    extra_mappers_.Reset(n);
+    lru_prev_plus1_.Reset(n);
+    lru_next_plus1_.Reset(n);
+    queued_.Reset((n + 63) / 64);
   }
-  uint64_t size() const { return flags_.size(); }
+  uint64_t size() const { return size_; }
 
   // Read-only bulk view of the hot words for word-granular scans and
   // audits; mutation goes through PageFrame handles only.
@@ -91,9 +135,11 @@ class FrameTable {
   // of those flags (and ResetState) keep it in step.
   uint64_t QueuedWord(uint64_t word_index) const { return queued_[word_index]; }
 
-  // Metadata bytes the table holds per frame, for the bytes-of-metadata-
-  // per-simulated-page report in bench_throughput. One-bit sidecars (the
-  // queued bits here, FramePool's scan-candidate bitmap) are excluded.
+  // Declared metadata bytes per frame, for the bytes-of-metadata-per-
+  // simulated-page report in bench_throughput. Resident bytes are lower:
+  // the arrays are backed lazily, so they follow the frames ever
+  // allocated. One-bit sidecars (the queued bits here, FramePool's
+  // scan-candidate bitmap) are excluded.
   static constexpr uint64_t BytesPerFrame() {
     return sizeof(uint32_t)          // flags
            + sizeof(AddressSpace*)   // owner
@@ -105,18 +151,20 @@ class FrameTable {
 
  private:
   friend class PageFrame;
-  std::vector<uint32_t> flags_;
-  std::vector<AddressSpace*> owner_;
-  std::vector<Vpn> vpn_;
+  uint64_t size_ = 0;
+  ZeroedArray<uint32_t> flags_;
+  ZeroedArray<AddressSpace*> owner_;
+  ZeroedArray<Vpn> vpn_plus1_;  // vpn + 1; 0 reads as kInvalidVpn
   // generation is bumped on every free; queues that park PFNs (PCQ, pending
   // queue, shadow-reclaim FIFO) snapshot it to detect stale entries.
-  std::vector<uint32_t> generation_;
+  ZeroedArray<uint32_t> generation_;
   // Simulated additional mappings (from other page tables). Nonzero means
   // multi-mapped; NOMAD falls back to sync migration for those (sec. 3.3).
-  std::vector<uint32_t> extra_mappers_;
-  std::vector<Pfn> lru_prev_;  // intrusive links, kInvalidPfn = list end
-  std::vector<Pfn> lru_next_;
-  std::vector<uint64_t> queued_;  // 1 bit/frame, see QueuedWord
+  ZeroedArray<uint32_t> extra_mappers_;
+  // Intrusive links + 1; 0 reads as kInvalidPfn, the list end.
+  ZeroedArray<Pfn> lru_prev_plus1_;
+  ZeroedArray<Pfn> lru_next_plus1_;
+  ZeroedArray<uint64_t> queued_;  // 1 bit/frame, see QueuedWord
 };
 
 // Per-frame metadata handle (struct page equivalent). A 16-byte value type:
@@ -145,8 +193,8 @@ class PageFrame {
   // multi-mapped case by flagging frames via extra_mappers).
   AddressSpace* owner() const { return t_->owner_[pfn_]; }
   void set_owner(AddressSpace* as) { t_->owner_[pfn_] = as; }
-  Vpn vpn() const { return t_->vpn_[pfn_]; }
-  void set_vpn(Vpn v) { t_->vpn_[pfn_] = v; }
+  Vpn vpn() const { return t_->vpn_plus1_[pfn_] - 1; }
+  void set_vpn(Vpn v) { t_->vpn_plus1_[pfn_] = v + 1; }
   uint32_t extra_mappers() const { return t_->extra_mappers_[pfn_]; }
   void set_extra_mappers(uint32_t v) { t_->extra_mappers_[pfn_] = v; }
 
@@ -199,10 +247,10 @@ class PageFrame {
     word() = (word() & ~frame_flags::kLruMask)
              | (static_cast<uint32_t>(l) << frame_flags::kLruShift);
   }
-  Pfn lru_prev() const { return t_->lru_prev_[pfn_]; }
-  void set_lru_prev(Pfn p) { t_->lru_prev_[pfn_] = p; }
-  Pfn lru_next() const { return t_->lru_next_[pfn_]; }
-  void set_lru_next(Pfn p) { t_->lru_next_[pfn_] = p; }
+  Pfn lru_prev() const { return t_->lru_prev_plus1_[pfn_] - 1; }
+  void set_lru_prev(Pfn p) { t_->lru_prev_plus1_[pfn_] = p + 1; }
+  Pfn lru_next() const { return t_->lru_next_plus1_[pfn_] - 1; }
+  void set_lru_next(Pfn p) { t_->lru_next_plus1_[pfn_] = p + 1; }
 
   bool mapped() const { return owner() != nullptr; }
   bool multi_mapped() const { return extra_mappers() > 0; }
@@ -213,10 +261,10 @@ class PageFrame {
     word() &= frame_flags::kIdentityMask;
     SyncQueued();
     t_->owner_[pfn_] = nullptr;
-    t_->vpn_[pfn_] = kInvalidVpn;
+    t_->vpn_plus1_[pfn_] = 0;
     t_->extra_mappers_[pfn_] = 0;
-    t_->lru_prev_[pfn_] = kInvalidPfn;
-    t_->lru_next_[pfn_] = kInvalidPfn;
+    t_->lru_prev_plus1_[pfn_] = 0;
+    t_->lru_next_plus1_[pfn_] = 0;
   }
 
  private:

@@ -8,6 +8,13 @@
 // page range. Exposing the permutation lets the harness implement the
 // Frequency-opt initial placement of Fig. 1 (hottest pages placed in fast
 // memory first).
+//
+// Set-up cost: the normaliser zeta(n, theta) is a sum over all n ranks,
+// and every shard of a sharded run samples the same n. Zeta() computes it
+// once per (n, theta) per process and serves it from a cache after that,
+// so a run pays for it once instead of once per shard. The permutation is
+// stored as uint32_t, half the bytes of a uint64_t one, so a scrambled
+// range holds 1 to 2^32 - 1 items.
 #ifndef SRC_WORKLOAD_ZIPFIAN_H_
 #define SRC_WORKLOAD_ZIPFIAN_H_
 
@@ -16,9 +23,15 @@
 #include <numeric>
 #include <vector>
 
+#include "src/check/check.h"
 #include "src/sim/rng.h"
 
 namespace nomad {
+
+// zeta(n, theta) = sum over i = 1..n of 1 / i^theta, added in ascending i.
+// Thread-safe: the first call for an (n, theta) computes it under a
+// process-wide lock and caches it, so every call returns the same bits.
+double Zeta(uint64_t n, double theta);
 
 // Draws ranks in [0, n) with P(rank) ~ 1/(rank+1)^theta (Gray et al.).
 class ZipfianRanks {
@@ -41,12 +54,12 @@ class ZipfianRanks {
 };
 
 // Scrambled Zipfian over a page (or item) range: hotness ranks are
-// permuted uniformly across [0, n).
+// permuted uniformly across [0, n), 0 < n <= 2^32 - 1.
 class ScrambledZipfian {
  public:
   ScrambledZipfian(uint64_t n, double theta, uint64_t seed)
-      : ranks_(n, theta), perm_(n) {
-    std::iota(perm_.begin(), perm_.end(), uint64_t{0});
+      : ranks_(CheckedSize(n), theta), perm_(n) {
+    std::iota(perm_.begin(), perm_.end(), uint32_t{0});
     Rng rng(seed);
     for (uint64_t i = n; i > 1; i--) {  // Fisher-Yates
       std::swap(perm_[i - 1], perm_[rng.Below(i)]);
@@ -63,15 +76,19 @@ class ScrambledZipfian {
   uint64_t n() const { return ranks_.n(); }
 
  private:
-  ZipfianRanks ranks_;
-  std::vector<uint64_t> perm_;
+  // Runs before any member is built: an empty range has no rank to draw,
+  // and a larger one does not fit the permutation.
+  static uint64_t CheckedSize(uint64_t n) {
+    NOMAD_CHECK(n > 0 && n <= UINT32_MAX, "ScrambledZipfian needs 0 < n <= 2^32 - 1, n=", n);
+    return n;
+  }
+
+  ZipfianRanks ranks_;  // first, so CheckedSize runs before perm_ allocates
+  std::vector<uint32_t> perm_;
 };
 
-inline ZipfianRanks::ZipfianRanks(uint64_t n, double theta) : n_(n), theta_(theta) {
-  zetan_ = 0.0;
-  for (uint64_t i = 1; i <= n_; i++) {
-    zetan_ += 1.0 / std::pow(static_cast<double>(i), theta_);
-  }
+inline ZipfianRanks::ZipfianRanks(uint64_t n, double theta)
+    : n_(n), theta_(theta), zetan_(Zeta(n, theta)) {
   alpha_ = 1.0 / (1.0 - theta_);
   const double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) / (1.0 - zeta2 / zetan_);

@@ -137,5 +137,56 @@ TEST(FramePoolTest, UsedFramesTracksAllocations) {
   EXPECT_EQ(pool.UsedFrames(Tier::kFast), 2u);
 }
 
+// A node's free frames are its freed frames (LIFO) plus the frames never
+// allocated (ascending PFN). Freed frames go out first; the never-allocated
+// range resumes where it stopped.
+TEST(FramePoolTest, FreedFramesGoFirstThenNeverAllocatedOnesInPfnOrder) {
+  FramePool pool(SmallPlatform(4, 4));
+  for (const Tier tier : {Tier::kFast, Tier::kSlow}) {
+    const Pfn base = tier == Tier::kFast ? 0 : 4;
+    EXPECT_EQ(pool.FreeFrames(tier), 4u);
+    EXPECT_EQ(pool.AllocOn(tier), base + 0);
+    EXPECT_EQ(pool.AllocOn(tier), base + 1);
+    EXPECT_EQ(pool.AllocOn(tier), base + 2);
+    EXPECT_EQ(pool.FreeFrames(tier), 1u);  // only base + 3, never allocated
+    pool.Free(base + 1);
+    EXPECT_EQ(pool.FreeFrames(tier), 2u);
+    pool.Free(base + 0);
+    EXPECT_EQ(pool.FreeFrames(tier), 3u);
+    EXPECT_EQ(pool.AllocOn(tier), base + 0);  // last freed
+    EXPECT_EQ(pool.FreeFrames(tier), 2u);
+    EXPECT_EQ(pool.AllocOn(tier), base + 1);
+    EXPECT_EQ(pool.FreeFrames(tier), 1u);
+    EXPECT_EQ(pool.AllocOn(tier), base + 3);  // then the never-allocated one
+    EXPECT_EQ(pool.FreeFrames(tier), 0u);
+    EXPECT_EQ(pool.frame(base + 3).tier(), tier);
+    EXPECT_EQ(pool.UsedFrames(tier), 4u);
+  }
+}
+
+TEST(FramePoolTest, FailureHookRunsOnlyWhenFreedAndNeverAllocatedAreBothEmpty) {
+  FramePool pool(SmallPlatform(1, 3));
+  int hook_calls = 0;
+  Pfn victim = kInvalidPfn;
+  pool.set_alloc_failure_hook([&](Tier tier) {
+    hook_calls++;
+    if (tier != Tier::kSlow || victim == kInvalidPfn) {
+      return false;
+    }
+    pool.Free(victim);
+    return true;
+  });
+  const Pfn a = pool.AllocOn(Tier::kSlow);  // the never-allocated range alone
+  victim = pool.AllocOn(Tier::kSlow);
+  EXPECT_EQ(pool.AllocOn(Tier::kSlow), 3u);  // ... which is now empty
+  pool.Free(a);
+  EXPECT_EQ(pool.AllocOn(Tier::kSlow), a);  // the freed list alone
+  EXPECT_EQ(hook_calls, 0);
+  EXPECT_EQ(pool.FreeFrames(Tier::kSlow), 0u);
+  EXPECT_EQ(pool.AllocOn(Tier::kSlow), victim);  // the frame the hook freed
+  EXPECT_EQ(hook_calls, 1);
+  EXPECT_EQ(pool.FreeFrames(Tier::kSlow), 0u);
+}
+
 }  // namespace
 }  // namespace nomad

@@ -264,6 +264,47 @@ TEST_F(PageFlagsTest, ResetStateAndResizeClearQueuedSidecar) {
   EXPECT_EQ(table_.QueuedWord(2), 0u);
 }
 
+// Zero means "none": a slot nothing has written reads as the sentinels.
+TEST_F(PageFlagsTest, FreshlyResizedTableReadsAsSentinels) {
+  table_.Resize(200);
+  for (Pfn pfn = 0; pfn < 200; pfn++) {
+    const PageFrame f(&table_, pfn);
+    EXPECT_EQ(f.vpn(), kInvalidVpn) << "pfn " << pfn;
+    EXPECT_EQ(f.lru_prev(), kInvalidPfn) << "pfn " << pfn;
+    EXPECT_EQ(f.lru_next(), kInvalidPfn) << "pfn " << pfn;
+    EXPECT_EQ(f.owner(), nullptr) << "pfn " << pfn;
+    EXPECT_EQ(f.generation(), 0u) << "pfn " << pfn;
+    EXPECT_EQ(f.extra_mappers(), 0u) << "pfn " << pfn;
+    EXPECT_EQ(table_.flags_data()[pfn], 0u) << "pfn " << pfn;
+  }
+}
+
+TEST_F(PageFlagsTest, SentinelsAndExtremesRoundTrip) {
+  PageFrame f(&table_, 2);
+  for (const uint64_t v : {uint64_t{0}, uint64_t{1}, kInvalidVpn - 1, kInvalidVpn}) {
+    f.set_vpn(v);
+    f.set_lru_prev(v);
+    f.set_lru_next(v);
+    EXPECT_EQ(f.vpn(), v);
+    EXPECT_EQ(f.lru_prev(), v);
+    EXPECT_EQ(f.lru_next(), v);
+  }
+}
+
+TEST_F(PageFlagsTest, ResetStateRestoresSentinelsFromZeroValues) {
+  // PFN 0 and VPN 0 are real values, stored as 1; ResetState must bring
+  // back the all-zero "none" encoding, not a stored zero.
+  PageFrame f(&table_, 0);
+  f.set_vpn(0);
+  f.set_lru_prev(0);
+  f.set_lru_next(0);
+  f.ResetState();
+  EXPECT_EQ(f.vpn(), kInvalidVpn);
+  EXPECT_EQ(f.lru_prev(), kInvalidPfn);
+  EXPECT_EQ(f.lru_next(), kInvalidPfn);
+  EXPECT_EQ(f.owner(), nullptr);
+}
+
 TEST_F(PageFlagsTest, BytesPerFrameMatchesDeclaredArrays) {
   // 4 (flags) + 8 (owner) + 8 (vpn) + 4 (generation) + 4 (extra_mappers)
   // + 16 (lru links) = 44: the number bench_throughput reports as

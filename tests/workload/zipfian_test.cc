@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <set>
+#include <thread>
+#include <vector>
 
 namespace nomad {
 namespace {
@@ -107,6 +111,95 @@ TEST(ScrambledZipfianTest, HotItemsSpreadAcrossRange) {
   }
   EXPECT_GT(lower_half, 25u);
   EXPECT_LT(lower_half, 75u);
+}
+
+// FNV-1a over each value's 8 little-endian bytes, for comparing long draw
+// sequences with sequences recorded before the zeta cache and the uint32_t
+// permutation existed.
+uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; i++) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// Digest of 1,000 ranks drawn from Rng(3).
+uint64_t RankDigest(const ZipfianRanks& z) {
+  Rng rng(3);
+  uint64_t h = kFnvBasis;
+  for (int i = 0; i < 1000; i++) {
+    h = Fnv1a(h, z.Draw(rng));
+  }
+  return h;
+}
+
+// Death tests run before the threaded tests below (gtest orders *DeathTest
+// suites first), so they fork a single-threaded process.
+TEST(ScrambledZipfianDeathTest, RejectsAnEmptyRange) {
+  EXPECT_DEATH(ScrambledZipfian(0, 0.99, 1), "n=0");
+}
+
+TEST(ScrambledZipfianDeathTest, RejectsARangeTheUint32PermutationCannotHold) {
+  EXPECT_DEATH(ScrambledZipfian(uint64_t{UINT32_MAX} + 1, 0.99, 1), "n=4294967296");
+}
+
+// Values recorded with the uint64_t permutation and an uncached zeta.
+TEST(ScrambledZipfianTest, DrawsAndRanksMatchRecordedValues) {
+  ScrambledZipfian z(100000, 0.99, 42);
+  Rng rng(7);
+  const uint64_t first[] = {37444, 75529, 83002, 18799, 29222, 89136, 24572, 15352};
+  uint64_t draws = kFnvBasis;
+  for (int i = 0; i < 1000; i++) {
+    const uint64_t d = z.Draw(rng);
+    if (i < 8) {
+      EXPECT_EQ(d, first[i]) << "draw " << i;
+    }
+    draws = Fnv1a(draws, d);
+  }
+  EXPECT_EQ(draws, 0xcf3737b3341f50feull);
+  EXPECT_EQ(z.ItemOfRank(0), 24572u);
+  EXPECT_EQ(z.ItemOfRank(3), 22659u);
+  uint64_t ranks = kFnvBasis;
+  for (uint64_t r = 0; r < 100000; r++) {
+    ranks = Fnv1a(ranks, z.ItemOfRank(r));
+  }
+  EXPECT_EQ(ranks, 0xd37a39196db6f139ull);
+}
+
+TEST(ZetaCacheTest, ConcurrentConstructionMatchesOneAlone) {
+  // n is used by no other test, so the four threads race on a cold entry.
+  constexpr uint64_t kN = 123457;
+  constexpr uint64_t kRecorded = 0x905438d07c1aa577ull;  // uncached zeta
+  std::atomic<bool> go{false};
+  std::vector<uint64_t> digests(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < digests.size(); t++) {
+    threads.emplace_back([&go, &digests, t] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      digests[t] = RankDigest(ZipfianRanks(kN, 0.99));
+    });
+  }
+  go.store(true);
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  const uint64_t alone = RankDigest(ZipfianRanks(kN, 0.99));
+  EXPECT_EQ(alone, kRecorded);
+  for (uint64_t d : digests) {
+    EXPECT_EQ(d, alone);
+  }
+}
+
+TEST(ZetaCacheTest, ADifferentKeyIsNotServedTheCachedValue) {
+  EXPECT_EQ(RankDigest(ZipfianRanks(1001, 0.99)), 0x0b354fb1f2fdc6a8ull);
+  EXPECT_EQ(RankDigest(ZipfianRanks(2003, 0.99)), 0xaca0afdcefe392d3ull);
+  EXPECT_EQ(RankDigest(ZipfianRanks(2003, 0.8)), 0x5f62e0de0228c5daull);
+  EXPECT_NE(Zeta(1001, 0.99), Zeta(2003, 0.99));
+  EXPECT_NE(Zeta(2003, 0.99), Zeta(2003, 0.8));
 }
 
 }  // namespace

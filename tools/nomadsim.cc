@@ -13,7 +13,8 @@
 //   --policy=...         [all]    no-migration|tpp|memtis-default|
 //                                 memtis-quickcool|nomad
 //   --scale=N            [64]     size divisor vs the paper's GB
-//   --rss_gb --wss_gb --wss_fast_gb --kernel_gb    layout (paper GB)
+//   --rss_gb --wss_gb --wss_fast_gb --kernel_gb    layout (paper GB); the
+//                                 WSS must give every shard >= 1 page
 //   --placement=freq|random [random]
 //   --write_fraction=F   [0]
 //   --ops=N              [2000000]
@@ -115,6 +116,13 @@ int main(int argc, char** argv) {
   }
   if (epoch_cycles == 0) {
     std::cerr << "usage: nomadsim [--shards=N] [--epoch=CYCLES]: --epoch must be > 0\n";
+    return 2;
+  }
+  // Each shard samples its own WSS pages; a shard with none has nothing to
+  // draw from.
+  if (Scale{cfg.scale_denom}.Pages(cfg.wss_gb / std::max<uint32_t>(shards, 1)) == 0) {
+    std::cerr << "usage: nomadsim [--wss_gb=GB] [--scale=N] [--shards=N]: every shard needs at "
+                 "least one WSS page\n";
     return 2;
   }
 
