@@ -4,7 +4,7 @@
 // intensive migration) and "normal" (fast-first allocation).
 //
 // Flags (defaults in brackets):
-//   --scale=N            [64]    size divisor vs the paper's 20M records
+//   --scale=N            [64]    size divisor vs the paper's 20M records (> 0)
 //   --full               [off]   shorthand for --scale=1: the real dataset,
 //                                no 1/64 substitution (~10M simulated pages)
 //   --shards=N           [0]     0 = classic single-Sim run; N>0 partitions
@@ -59,6 +59,10 @@ int main(int argc, char** argv) {
   }
   if (epoch_cycles == 0) {
     std::cerr << "usage: fig14_redis_large [--shards=N] [--epoch=CYCLES]: --epoch must be > 0\n";
+    return 2;
+  }
+  if (scale == 0) {
+    std::cerr << "usage: fig14_redis_large [--scale=N]: --scale must be > 0\n";
     return 2;
   }
 

@@ -28,8 +28,8 @@
 //     outside the lockstep runtime's epoch/drain entry points.
 //
 // Every macro compiles to nothing on non-Clang compilers (and under
-// SWIG-style tooling that chokes on GNU attributes), so GCC builds, the
-// tracing-off build and the faults-off build see plain C++.
+// SWIG-style tooling that chokes on GNU attributes), so GCC builds see
+// plain C++.
 //
 // Naming follows the Clang thread-safety documentation and Abseil's
 // thread_annotations.h so the vocabulary is familiar; the NOMAD_ prefix

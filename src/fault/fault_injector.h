@@ -10,10 +10,8 @@
 // not depend on how often other kinds are consulted. Every injection is
 // emitted to the owning MemorySystem's TraceSink as a kFaultInject event.
 //
-// With -DNOMAD_ENABLE_FAULTS=OFF (which defines NOMAD_FAULTS=0) every
-// injection site is guarded by `if constexpr (kFaultInjectionEnabled)` and
-// dead-codes away, so production builds carry zero hot-path overhead; the
-// injector class itself stays linkable for tools and tests.
+// The installed injector pointer is the switch: with none installed, each
+// injection site costs one null check.
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
 
@@ -27,13 +25,6 @@
 #include "src/sim/rng.h"
 
 namespace nomad {
-
-#ifndef NOMAD_FAULTS
-#define NOMAD_FAULTS 1
-#endif
-
-// True when the build carries fault-injection support.
-inline constexpr bool kFaultInjectionEnabled = NOMAD_FAULTS != 0;
 
 // Every injectable fault. Values are stable: they appear as the `arg` of
 // kFaultInject trace records and in chaos_sim reproducer lines.

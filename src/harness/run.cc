@@ -4,6 +4,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "src/check/check.h"
+
 namespace nomad {
 
 namespace {
@@ -36,6 +38,10 @@ void MetricsCollector::Capture(const std::string& label, Sim& sim, const PhaseRe
   if (!active()) {
     return;
   }
+  // Exporting a run whose instruments were off would write empty trace,
+  // profile, histogram and provenance sections without a word.
+  NOMAD_CHECK(sim.ms().instruments_enabled(), "captured run '", label,
+              "' had its instruments off");
   if (!metrics_path_.empty()) {
     std::ostringstream os;
     JsonWriter jw(os);

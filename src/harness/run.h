@@ -42,7 +42,9 @@ class NOMAD_SHARD_CONFINED MetricsCollector {
 
   // Records one finished run. The first capture's trace goes to the exact
   // --trace_out path; later captures get the label inserted before the
-  // extension (t.json -> t.tpp.json).
+  // extension (t.json -> t.tpp.json). An active collector aborts on a run
+  // whose instruments were off: the runner turns them on for every run it
+  // is given an active collector for, and a Sim built directly has them on.
   void Capture(const std::string& label, Sim& sim, const PhaseReport& report);
 
   // Writes metrics.json (idempotent; also runs from the destructor).

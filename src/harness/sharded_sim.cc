@@ -108,26 +108,24 @@ Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
         // shard's seed and epoch count, never on thread assignment.
         bool stall = false;
         bool delay_sends = false;
-        if constexpr (kFaultInjectionEnabled) {
-          if (FaultInjector* fi = sim.ms().faults(); fi != nullptr) {
-            if (fi->ShouldInject(FaultKind::kShardStall)) {
-              stall = true;
-              sim.ms().counters().Add(cnt::kFaultInjShardStall, 1);
-            }
-            if (fi->ShouldInject(FaultKind::kShardDelay)) {
-              delay_sends = true;
-              sim.ms().counters().Add(cnt::kFaultInjShardDelay, 1);
-            }
-            if (fi->ShouldInject(FaultKind::kAllocFailWave)) {
-              // Arm a burst window of allocation failures starting at the
-              // shard's NEXT alloc opportunity: a whole wave of fast-tier
-              // pressure, as opposed to kAllocFail's isolated misses.
-              FaultSchedule wave = fi->schedule(FaultKind::kAllocFail);
-              wave.trigger_start = fi->opportunities(FaultKind::kAllocFail);
-              wave.trigger_count = 64;
-              fi->set_schedule(FaultKind::kAllocFail, wave);
-              sim.ms().counters().Add(cnt::kFaultInjAllocFailWave, 1);
-            }
+        if (FaultInjector* fi = sim.ms().faults(); fi != nullptr) {
+          if (fi->ShouldInject(FaultKind::kShardStall)) {
+            stall = true;
+            sim.ms().counters().Add(cnt::kFaultInjShardStall, 1);
+          }
+          if (fi->ShouldInject(FaultKind::kShardDelay)) {
+            delay_sends = true;
+            sim.ms().counters().Add(cnt::kFaultInjShardDelay, 1);
+          }
+          if (fi->ShouldInject(FaultKind::kAllocFailWave)) {
+            // Arm a burst window of allocation failures starting at the
+            // shard's NEXT alloc opportunity: a whole wave of fast-tier
+            // pressure, as opposed to kAllocFail's isolated misses.
+            FaultSchedule wave = fi->schedule(FaultKind::kAllocFail);
+            wave.trigger_start = fi->opportunities(FaultKind::kAllocFail);
+            wave.trigger_count = 64;
+            fi->set_schedule(FaultKind::kAllocFail, wave);
+            sim.ms().counters().Add(cnt::kFaultInjAllocFailWave, 1);
           }
         }
         if (stall) {
@@ -218,7 +216,7 @@ Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
 }
 
 // The settings every run shares, whatever its workload. The default is a
-// one-shard run without timeline, spans or faults.
+// one-shard run without timeline, spans, faults or instruments.
 struct Plan {
   uint32_t shards = 1;
   uint32_t exec_threads = 1;
@@ -228,11 +226,22 @@ struct Plan {
   Cycles timeline_interval = 0;
   size_t timeline_capacity = 0;
   bool enable_spans = false;
+  // Trace ring, profiler, histograms and provenance (see Instrumented).
+  bool instruments = false;
   std::function<std::unique_ptr<FaultInjector>(uint32_t shard)> fault_factory;
 };
 
+// The instruments are on when something reads them: an active collector
+// (it exports all four), span records (they live in the trace ring) or the
+// timeline sampler (it reads trace counts and histograms). Nothing in the
+// simulation itself reads them back, so without these they stay off.
+bool Instrumented(const Plan& plan, const MetricsCollector* collector) {
+  return (collector != nullptr && collector->active()) || plan.enable_spans ||
+         plan.timeline_interval > 0;
+}
+
 template <typename ShardedConfig>
-Plan PlanOf(const ShardedConfig& cfg) {
+Plan PlanOf(const ShardedConfig& cfg, const MetricsCollector* collector) {
   NOMAD_CHECK(cfg.shards > 0, "a run needs at least one shard");
   // Lockstep advances in epochs of epoch_cycles; zero would never advance
   // virtual time. A one-shard run has no epochs and ignores the field.
@@ -246,7 +255,14 @@ Plan PlanOf(const ShardedConfig& cfg) {
   plan.timeline_interval = cfg.base.timeline_interval;
   plan.timeline_capacity = cfg.base.timeline_capacity;
   plan.enable_spans = cfg.base.enable_spans;
+  plan.instruments = Instrumented(plan, collector);
   return plan;
+}
+
+// The scale divisor of a run's config; zero would divide by zero.
+Scale ScaleOf(uint64_t denom) {
+  NOMAD_CHECK(denom > 0, "scale_denom must be > 0");
+  return Scale{denom};
 }
 
 // Lockstep samples the timeline at epoch boundaries, so its cadence is the
@@ -269,13 +285,17 @@ struct NOMAD_SHARD_CONFINED Shard {
   CounterSet first_half;
 };
 
-// Builds shard s's machine with the wiring every run gets: the shard's own
-// fault injector, span records and timeline. Runs on the worker thread that
-// owns shard s, so plan.fault_factory is called from several threads.
+// Builds shard s's machine with the wiring every run gets: its instruments
+// switch, the shard's own fault injector, span records and timeline. Runs
+// on the worker thread that owns shard s, so plan.fault_factory is called
+// from several threads.
 Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, PolicyKind policy,
               uint64_t as_pages, Shard& sh) {
   sh.sim = std::make_unique<Sim>(platform, policy, as_pages);
   Sim& sim = *sh.sim;
+  // Set before the shard's first step and never changed after, so every
+  // profiler span opens and closes under the same setting.
+  sim.ms().set_instruments_enabled(plan.instruments);
   if (plan.fault_factory) {
     sim.ms().set_fault_injector(plan.fault_factory(s));
   }
@@ -302,7 +322,7 @@ Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, Policy
 template <typename AppConfig>
 Sim& BuildAppSim(const Plan& plan, uint32_t s, const AppConfig& c, Vpn end, bool demote,
                  Shard& sh) {
-  const Scale scale{c.scale_denom};
+  const Scale scale = ScaleOf(c.scale_denom);
   Sim& sim = BuildSim(plan, s, MakePlatform(c.platform, scale, 16.0 / plan.shards, c.slow_gb),
                       c.policy, end + 16, sh);
   sim.ms().ReserveFastFrames(scale.Pages(c.kernel_gb));
@@ -426,7 +446,9 @@ ShardedAppResult RunApps(const Plan& plan, const BuildShard& build, MetricsColle
 
 ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* collector,
                                  const std::string& label) {
-  Plan plan = PlanOf(cfg);
+  NOMAD_CHECK(cfg.base.threads > 0, "threads must be > 0 for a micro run, got ",
+              cfg.base.threads);
+  Plan plan = PlanOf(cfg, collector);
   plan.watchdog_stall_epochs = cfg.watchdog_stall_epochs;
   plan.fault_factory = cfg.fault_factory;
   const uint32_t S = plan.shards;
@@ -448,7 +470,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
     c.seed = cfg.base.seed + 7919 * s;
 
     sh.total_ops = c.total_ops;
-    const Scale scale{c.scale_denom};
+    const Scale scale = ScaleOf(c.scale_denom);
     Sim& sim = BuildSim(plan, s, MakePlatform(c.platform, scale, c.fast_gb, c.slow_gb),
                         c.policy, scale.Pages(c.rss_gb) + 16, sh);
     MicroLayout layout;
@@ -524,7 +546,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
 
 ShardedAppResult RunShardedYcsb(const ShardedYcsbConfig& cfg, MetricsCollector* collector,
                                 const std::string& label) {
-  const Plan plan = PlanOf(cfg);
+  const Plan plan = PlanOf(cfg, collector);
   const uint32_t S = plan.shards;
   const auto build = [&](uint32_t s, Shard& sh) {
     YcsbRunConfig c = cfg.base;
@@ -578,7 +600,8 @@ AppRunResult RunPageRankBench(const PageRankRunConfig& config, MetricsCollector*
   const Vpn end = PageRankWorkload::Layout(&wcfg, 0);
 
   // Standard placement: the graph spreads over fast then slow memory.
-  const Plan plan;
+  Plan plan;
+  plan.instruments = Instrumented(plan, collector);
   const auto build = [&](uint32_t s, Shard& sh) {
     Sim& sim = BuildAppSim(plan, s, config, end, /*demote=*/false, sh);
     AddApp(sh, std::make_unique<PageRankWorkload>(&sim.ms(), &sim.as(), wcfg));
@@ -609,7 +632,8 @@ AppRunResult RunLiblinearBench(const LiblinearRunConfig& config, MetricsCollecto
   }
 
   // The paper demotes all Liblinear pages to the slow tier before running.
-  const Plan plan;
+  Plan plan;
+  plan.instruments = Instrumented(plan, collector);
   const auto build = [&](uint32_t s, Shard& sh) {
     Sim& sim = BuildAppSim(plan, s, config, end, /*demote=*/true, sh);
     for (const LiblinearWorkload::Config& wcfg : wcfgs) {

@@ -17,6 +17,12 @@
 // Worker threads are an execution detail — any --threads value
 // produces byte-identical metrics, which scripts/check_determinism.py
 // --threads-compare enforces.
+//
+// A run's instruments (trace ring, profiler, histograms, provenance ledger)
+// cost nothing unless the run has a reader for them: they are on when the
+// run is given an active MetricsCollector, records spans or samples a
+// timeline, and off otherwise. No simulated result reads an instrument, so
+// the switch never changes one.
 #ifndef SRC_HARNESS_SHARDED_SIM_H_
 #define SRC_HARNESS_SHARDED_SIM_H_
 

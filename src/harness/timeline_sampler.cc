@@ -31,12 +31,6 @@ void TimelineSampler::SampleSharded(uint64_t ops_done, uint64_t epoch) {
 }
 
 void TimelineSampler::SampleLocked(bool sharded, uint64_t ops_done, uint64_t epoch) {
-  if constexpr (!kTracingEnabled) {
-    (void)sharded;
-    (void)ops_done;
-    (void)epoch;
-    return;
-  }
   MemorySystem& ms = sim_->ms();
   Timeline& t = timeline_;
   t.BeginSample(ms.Now());

@@ -29,14 +29,12 @@ void FramePool::SetWatermarks(Tier tier, uint64_t low, uint64_t high) {
 }
 
 Pfn FramePool::AllocOn(Tier tier) {
-  if constexpr (kFaultInjectionEnabled) {
-    // A transient fast-tier failure: the frame we'd have taken was stolen
-    // by a concurrent consumer. The caller sees kInvalidPfn exactly as it
-    // would under real pressure and must take its fallback path.
-    if (faults_ != nullptr && tier == Tier::kFast &&
-        faults_->ShouldInject(FaultKind::kAllocFail)) {
-      return kInvalidPfn;
-    }
+  // A transient fast-tier failure: the frame we'd have taken was stolen
+  // by a concurrent consumer. The caller sees kInvalidPfn exactly as it
+  // would under real pressure and must take its fallback path.
+  if (faults_ != nullptr && tier == Tier::kFast &&
+      faults_->ShouldInject(FaultKind::kAllocFail)) {
+    return kInvalidPfn;
   }
   if (FreeFrames(tier) == 0) {
     if (alloc_failure_hook_ && alloc_failure_hook_(tier) && FreeFrames(tier) > 0) {

@@ -145,13 +145,11 @@ Cycles MemorySystem::TlbShootdown(AddressSpace& as, Vpn vpn) {
   FaultSlot(cnt_tlb_shootdown_ipis_, cnt::kTlbShootdownIpis) += remote_targets;
   Cycles cost = platform_.costs.tlb_shootdown_base +
                 platform_.costs.tlb_shootdown_per_cpu * remote_targets;
-  if constexpr (kFaultInjectionEnabled) {
-    // A straggling ack: one responder's IPI sits in a long interrupt-off
-    // region, stretching the initiator's wait.
-    if (faults_ && faults_->ShouldInject(FaultKind::kTlbDelay)) {
-      cost += faults_->LatencyFor(FaultKind::kTlbDelay);
-      counters_.Add(cnt::kFaultInjTlbDelay, 1);
-    }
+  // A straggling ack: one responder's IPI sits in a long interrupt-off
+  // region, stretching the initiator's wait.
+  if (faults_ && faults_->ShouldInject(FaultKind::kTlbDelay)) {
+    cost += faults_->LatencyFor(FaultKind::kTlbDelay);
+    counters_.Add(cnt::kFaultInjTlbDelay, 1);
   }
   return cost;
 }
@@ -162,13 +160,11 @@ Cycles MemorySystem::CopyPageCost(Tier from, Tier to) {
   Cycles w = device(to).Write(now, kPageSize);
   // The copy loop pipelines reads and writes; the slower side dominates.
   Cycles cost = std::max(r, w);
-  if constexpr (kFaultInjectionEnabled) {
-    // Device contention spike: the copy collides with a burst of demand
-    // traffic on one of the tiers.
-    if (faults_ && faults_->ShouldInject(FaultKind::kLatencySpike)) {
-      cost += faults_->LatencyFor(FaultKind::kLatencySpike);
-      counters_.Add(cnt::kFaultInjLatencySpike, 1);
-    }
+  // Device contention spike: the copy collides with a burst of demand
+  // traffic on one of the tiers.
+  if (faults_ && faults_->ShouldInject(FaultKind::kLatencySpike)) {
+    cost += faults_->LatencyFor(FaultKind::kLatencySpike);
+    counters_.Add(cnt::kFaultInjLatencySpike, 1);
   }
   return cost;
 }

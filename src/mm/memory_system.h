@@ -83,8 +83,9 @@ class NOMAD_SHARD_CONFINED MemorySystem {
   TraceSink& trace() { return trace_; }
   const TraceSink& trace() const { return trace_; }
   // Cycle-attribution profiler, latency histograms and per-page ledger.
-  // Like the trace sink these are fed per kernel event, and every feeding
-  // call compiles away when tracing is off.
+  // Like the trace sink these are fed per kernel event. Nothing in the
+  // simulation reads any of the four back; only exporters and the timeline
+  // sampler do.
   Profiler& prof() { return prof_; }
   const Profiler& prof() const { return prof_; }
   HistogramSet& hists() { return hists_; }
@@ -92,6 +93,21 @@ class NOMAD_SHARD_CONFINED MemorySystem {
   ProvenanceLedger& provenance() { return prov_; }
   const ProvenanceLedger& provenance() const { return prov_; }
   Cycles Now() const { return engine_ ? engine_->now() : 0; }
+
+  // One switch for all four instruments: trace ring, profiler, histograms
+  // and provenance ledger. They start on; the runner turns them off before
+  // a run's first step when nothing will read them, and a disabled
+  // instrument records nothing and allocates nothing. Not to be flipped
+  // inside a profiler span.
+  void set_instruments_enabled(bool on) {
+    trace_.set_enabled(on);
+    prof_.set_enabled(on);
+    hists_.set_enabled(on);
+    prov_.set_enabled(on);
+  }
+  bool instruments_enabled() const {
+    return trace_.enabled() && prof_.enabled() && hists_.enabled() && prov_.enabled();
+  }
 
   // Installs the (optional) fault injector. The MemorySystem owns it and
   // binds it to its trace sink and engine clock; components that consult it
@@ -105,16 +121,10 @@ class NOMAD_SHARD_CONFINED MemorySystem {
   const std::vector<Pfn>& reserved_frames() const { return reserved_; }
 
   // Emits one trace record stamped with the current virtual time and the
-  // actor being stepped. Compiles away entirely when tracing is off.
+  // actor being stepped. Records nothing while the trace sink is disabled.
   void Trace(TraceEvent e, uint64_t arg, uint64_t value = 0) {
-    if constexpr (kTracingEnabled) {
-      trace_.Emit(e, Now(), engine_ ? static_cast<uint16_t>(engine_->current()) : uint16_t{0},
-                  arg, value);
-    } else {
-      (void)e;
-      (void)arg;
-      (void)value;
-    }
+    trace_.Emit(e, Now(), engine_ ? static_cast<uint16_t>(engine_->current()) : uint16_t{0},
+                arg, value);
   }
 
   // Migration-lifecycle span links (the mig_* trace events). Off by
@@ -122,26 +132,13 @@ class NOMAD_SHARD_CONFINED MemorySystem {
   // and the fixed-seed goldens are captured without them. trace_query
   // --span needs them on (nomadsim/chaos_sim --spans).
   void set_span_tracing(bool on) { spans_enabled_ = on; }
-  bool span_tracing() const {
-    if constexpr (kTracingEnabled) {
-      return spans_enabled_;
-    } else {
-      return false;
-    }
-  }
+  bool span_tracing() const { return spans_enabled_; }
 
   // Emits one migration-lifecycle span record (`value` carries the
-  // migration transaction id). Gated on span_tracing(); compiles away
-  // entirely when tracing is off.
+  // migration transaction id). Gated on span_tracing().
   void TraceSpan(TraceEvent e, uint64_t arg, uint64_t mig_id) {
-    if constexpr (kTracingEnabled) {
-      if (spans_enabled_) {
-        Trace(e, arg, mig_id);
-      }
-    } else {
-      (void)e;
-      (void)arg;
-      (void)mig_id;
+    if (spans_enabled_) {
+      Trace(e, arg, mig_id);
     }
   }
 
@@ -297,15 +294,12 @@ class NOMAD_SHARD_CONFINED MemorySystem {
   // and the batched fast path (AccessBatch) must consult the injector at
   // exactly the same opportunities, in the same order, or a K=1 and a K=8
   // execution of the same access stream would draw different fault
-  // schedules (tests/mm/batch_fault_test.cc proves they do not). Compiles
-  // to nothing with -DNOMAD_ENABLE_FAULTS=OFF and costs one predictable
-  // null check when no injector is installed.
+  // schedules (tests/mm/batch_fault_test.cc proves they do not). It costs
+  // one predictable null check when no injector is installed.
   Cycles AccessFaultLatency() {
-    if constexpr (kFaultInjectionEnabled) {
-      if (faults_ != nullptr && faults_->ShouldInject(FaultKind::kLatencySpike)) {
-        counters_.Add(cnt::kFaultInjLatencySpike, 1);
-        return faults_->LatencyFor(FaultKind::kLatencySpike);
-      }
+    if (faults_ != nullptr && faults_->ShouldInject(FaultKind::kLatencySpike)) {
+      counters_.Add(cnt::kFaultInjLatencySpike, 1);
+      return faults_->LatencyFor(FaultKind::kLatencySpike);
     }
     return 0;
   }

@@ -49,15 +49,13 @@ class KpromoteActor::ProtocolHw : public tpm::Hw {
   }
 
   bool ReadDirty() override {
-    if constexpr (kFaultInjectionEnabled) {
-      // Injected mid-copy store: as if a writer raced the copy and dirtied
-      // the page just before the atomic get_and_clear. Only writable pages
-      // can be dirtied.
-      if (!pte_.dirty && t_.was_writable && k_.ms_->faults() != nullptr &&
-          k_.ms_->faults()->ShouldInject(FaultKind::kDirtyWrite)) {
-        pte_.dirty = true;
-        k_.ms_->counters().Add(cnt::kFaultInjDirtyWrite, 1);
-      }
+    // Injected mid-copy store: as if a writer raced the copy and dirtied
+    // the page just before the atomic get_and_clear. Only writable pages
+    // can be dirtied.
+    if (!pte_.dirty && t_.was_writable && k_.ms_->faults() != nullptr &&
+        k_.ms_->faults()->ShouldInject(FaultKind::kDirtyWrite)) {
+      pte_.dirty = true;
+      k_.ms_->counters().Add(cnt::kFaultInjDirtyWrite, 1);
     }
     return pte_.dirty;
   }

@@ -19,13 +19,11 @@ void PromotionQueues::EnqueueCandidate(Pfn pfn) {
     return;
   }
   bool overflow = pcq_.size() >= config_.pcq_capacity;
-  if constexpr (kFaultInjectionEnabled) {
-    // Queue-pressure fault: the PCQ behaves as if at capacity, evicting its
-    // oldest candidate to admit this one.
-    if (!overflow && !pcq_.empty() && ms_->faults() != nullptr &&
-        ms_->faults()->ShouldInject(FaultKind::kPcqOverflow)) {
-      overflow = true;
-    }
+  // Queue-pressure fault: the PCQ behaves as if at capacity, evicting its
+  // oldest candidate to admit this one.
+  if (!overflow && !pcq_.empty() && ms_->faults() != nullptr &&
+      ms_->faults()->ShouldInject(FaultKind::kPcqOverflow)) {
+    overflow = true;
   }
   if (overflow) {
     // Overflow: forget the oldest candidate.

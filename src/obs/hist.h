@@ -10,9 +10,9 @@
 // HistogramSet is the simulator-facing registry: distributions are keyed by
 // the hist:: names in src/obs/event_registry.h and recording an
 // unregistered name aborts (same closed-name-set contract as counters and
-// trace events). Record() compiles away under -DNOMAD_ENABLE_TRACING=OFF;
-// when enabled it costs one map lookup per *kernel event* (a committed
-// migration, a PCQ drain), never per access.
+// trace events). Record() returns at its first branch while the set is
+// disabled; when enabled it costs one map lookup per *kernel event* (a
+// committed migration, a PCQ drain), never per access.
 #ifndef SRC_OBS_HIST_H_
 #define SRC_OBS_HIST_H_
 
@@ -21,7 +21,7 @@
 #include <string>
 
 #include "src/base/annotations.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_registry.h"
 
 namespace nomad {
 
@@ -66,29 +66,31 @@ class Histogram {
 // Named histograms, keyed by the hist:: constants in event_registry.h.
 class NOMAD_SHARD_CONFINED HistogramSet {
  public:
-  // Books one sample. Compiles to nothing when tracing is off. Callers
-  // pass the hist:: registry constants, so the same `name` pointer recurs
-  // per site; a tiny pointer-keyed memo skips the validating map lookup
-  // after the first sample (a migration-heavy run records hundreds of
-  // thousands of samples). An unrecognized pointer just takes the At()
-  // path, so the memo can never change which histogram is hit.
+  // Runtime switch; starts enabled.
+  void set_enabled(bool on) { enabled_ = on; }
+  bool enabled() const { return enabled_; }
+
+  // Books one sample, unless disabled. Callers pass the hist:: registry
+  // constants, so the same `name` pointer recurs per site; a tiny
+  // pointer-keyed memo skips the validating map lookup after the first
+  // sample (a migration-heavy run records hundreds of thousands of
+  // samples). An unrecognized pointer just takes the At() path, so the
+  // memo can never change which histogram is hit.
   void Record(const char* name, uint64_t value) {
-    if constexpr (kTracingEnabled) {
-      for (int i = 0; i < memo_used_; i++) {
-        if (memo_[i].name == name) {
-          memo_[i].hist->Record(value);
-          return;
-        }
-      }
-      Histogram& h = At(name);
-      if (memo_used_ < kMemoSlots) {
-        memo_[memo_used_++] = Memo{name, &h};
-      }
-      h.Record(value);
-    } else {
-      (void)name;
-      (void)value;
+    if (!enabled_) {
+      return;
     }
+    for (int i = 0; i < memo_used_; i++) {
+      if (memo_[i].name == name) {
+        memo_[i].hist->Record(value);
+        return;
+      }
+    }
+    Histogram& h = At(name);
+    if (memo_used_ < kMemoSlots) {
+      memo_[memo_used_++] = Memo{name, &h};
+    }
+    h.Record(value);
   }
 
   // Stable reference to the named histogram, creating it empty. Aborts on a
@@ -109,6 +111,7 @@ class NOMAD_SHARD_CONFINED HistogramSet {
     Histogram* hist = nullptr;  // std::map references are stable
   };
 
+  bool enabled_ = true;
   std::map<std::string, Histogram> hists_;
   Memo memo_[kMemoSlots];
   int memo_used_ = 0;

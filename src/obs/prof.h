@@ -11,7 +11,7 @@
 //
 // Hot-path contract matches the trace sink: spans wrap *kernel events*
 // (one TPM transaction, one reclaim round), never individual accesses, and
-// the whole class compiles to nothing under -DNOMAD_ENABLE_TRACING=OFF.
+// a disabled profiler returns from every call at its first branch.
 #ifndef SRC_OBS_PROF_H_
 #define SRC_OBS_PROF_H_
 
@@ -22,7 +22,6 @@
 #include "src/base/annotations.h"
 #include "src/check/check.h"
 #include "src/obs/event_registry.h"
-#include "src/obs/trace.h"
 #include "src/sim/clock.h"
 
 namespace nomad {
@@ -34,73 +33,74 @@ class NOMAD_SHARD_CONFINED Profiler {
   // level, which caps the depth at 8.
   static constexpr int kMaxDepth = 8;
 
+  // Runtime switch; starts enabled. It may only flip outside every span,
+  // so each Enter() meets its Exit() under the same setting.
+  void set_enabled(bool on) {
+    NOMAD_CHECK(depth_ == 0, "prof switched inside a span at depth ", depth_);
+    enabled_ = on;
+  }
+  bool enabled() const { return enabled_; }
+
   void Enter(ProfNode n) {
-    if constexpr (kTracingEnabled) {
-      NOMAD_CHECK(depth_ < kMaxDepth, "prof stack overflow entering ",
-                  ProfNodeName(n));
-      stack_[depth_++] = n;
-    } else {
-      (void)n;
+    if (!enabled_) {
+      return;
     }
+    NOMAD_CHECK(depth_ < kMaxDepth, "prof stack overflow entering ", ProfNodeName(n));
+    stack_[depth_++] = n;
   }
 
   void Exit() {
-    if constexpr (kTracingEnabled) {
-      NOMAD_CHECK(depth_ > 0, "prof Exit() with empty stack");
-      depth_--;
+    if (!enabled_) {
+      return;
     }
+    NOMAD_CHECK(depth_ > 0, "prof Exit() with empty stack");
+    depth_--;
   }
 
   // Books `c` cycles at the current stack: self of the innermost node,
   // total of every distinct node on the stack, and the collapsed path.
   // With an empty stack the cycles land in unattributed() instead.
   void Charge(Cycles c) {
-    if constexpr (kTracingEnabled) {
-      if (c == 0) {
-        return;
-      }
-      if (depth_ == 0) {
-        unattributed_ += c;
-        return;
-      }
-      self_[static_cast<size_t>(stack_[depth_ - 1])] += c;
-      uint64_t key = 0;
-      for (int i = 0; i < depth_; i++) {
-        const ProfNode n = stack_[i];
-        key |= static_cast<uint64_t>(static_cast<uint8_t>(n) + 1) << (8 * i);
-        // A node twice on the stack (recursion) must count its total once.
-        bool seen = false;
-        for (int j = 0; j < i; j++) {
-          seen = seen || stack_[j] == n;
-        }
-        if (!seen) {
-          total_[static_cast<size_t>(n)] += c;
-        }
-      }
-      // Consecutive charges overwhelmingly repeat the same stack (one tree
-      // descent per distinct path, then pointer hits; std::map references
-      // survive unrelated inserts, and Reset() clears the memo with the
-      // map).
-      if (key != memo_key_ || memo_slot_ == nullptr) {
-        memo_key_ = key;
-        memo_slot_ = &paths_[key];
-      }
-      *memo_slot_ += c;
-    } else {
-      (void)c;
+    if (!enabled_ || c == 0) {
+      return;
     }
+    if (depth_ == 0) {
+      unattributed_ += c;
+      return;
+    }
+    self_[static_cast<size_t>(stack_[depth_ - 1])] += c;
+    uint64_t key = 0;
+    for (int i = 0; i < depth_; i++) {
+      const ProfNode n = stack_[i];
+      key |= static_cast<uint64_t>(static_cast<uint8_t>(n) + 1) << (8 * i);
+      // A node twice on the stack (recursion) must count its total once.
+      bool seen = false;
+      for (int j = 0; j < i; j++) {
+        seen = seen || stack_[j] == n;
+      }
+      if (!seen) {
+        total_[static_cast<size_t>(n)] += c;
+      }
+    }
+    // Consecutive charges overwhelmingly repeat the same stack (one tree
+    // descent per distinct path, then pointer hits; std::map references
+    // survive unrelated inserts, and Reset() clears the memo with the
+    // map).
+    if (key != memo_key_ || memo_slot_ == nullptr) {
+      memo_key_ = key;
+      memo_slot_ = &paths_[key];
+    }
+    *memo_slot_ += c;
   }
 
   // Enter(n) + Charge(c) + Exit(): a leaf span with no interior structure.
   void ChargeLeaf(ProfNode n, Cycles c) {
-    if constexpr (kTracingEnabled) {
-      Enter(n);
-      Charge(c);
-      Exit();
-    } else {
-      (void)n;
-      (void)c;
+    if (!enabled_) {
+      return;
     }
+    Enter(n);
+    Charge(c);
+    Exit();
   }
 
   int depth() const { return depth_; }
@@ -119,6 +119,7 @@ class NOMAD_SHARD_CONFINED Profiler {
   void Reset();
 
  private:
+  bool enabled_ = true;
   ProfNode stack_[kMaxDepth] = {};
   int depth_ = 0;
   uint64_t self_[kNumProfNodes] = {};
@@ -130,7 +131,7 @@ class NOMAD_SHARD_CONFINED Profiler {
   uint64_t* memo_slot_ = nullptr;
 };
 
-// RAII span. Compiles away with the profiler when tracing is off.
+// RAII span; a no-op while the profiler is disabled.
 class ProfScope {
  public:
   ProfScope(Profiler& prof, ProfNode n) : prof_(prof) { prof_.Enter(n); }

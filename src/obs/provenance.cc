@@ -5,11 +5,17 @@
 namespace nomad {
 
 PageProvenance* ProvenanceLedger::Touch(uint64_t vpn, Cycles now) {
+  if (!enabled_) {
+    return nullptr;
+  }
   auto it = pages_.find(vpn);
   if (it == pages_.end()) {
     if (pages_.size() >= max_pages_) {
       dropped_++;
       return nullptr;
+    }
+    if (pages_.empty()) {
+      pages_.reserve(std::min(max_pages_, size_t{1} << 14));
     }
     it = pages_.emplace(vpn, PageProvenance{}).first;
     it->second.first_event = now;

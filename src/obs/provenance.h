@@ -15,8 +15,9 @@
 // The ledger is bounded: the first max_pages distinct pages get records,
 // later pages count into dropped() (migration traffic is heavily skewed, so
 // the hot set lands in the ledger long before the bound bites). Mutators
-// compile away under -DNOMAD_ENABLE_TRACING=OFF and are called per
-// migration event, never per access.
+// are called per migration event, never per access, and record nothing
+// while the ledger is disabled; its hash table is sized on the first
+// record, so a disabled ledger allocates nothing either.
 #ifndef SRC_OBS_PROVENANCE_H_
 #define SRC_OBS_PROVENANCE_H_
 
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "src/base/annotations.h"
-#include "src/obs/trace.h"
 #include "src/sim/clock.h"
 
 namespace nomad {
@@ -55,109 +55,79 @@ class NOMAD_SHARD_CONFINED ProvenanceLedger {
  public:
   static constexpr size_t kDefaultMaxPages = size_t{1} << 16;
 
-  explicit ProvenanceLedger(size_t max_pages = kDefaultMaxPages) : max_pages_(max_pages) {
-    pages_.reserve(max_pages_ < (size_t{1} << 14) ? max_pages_ : (size_t{1} << 14));
-  }
+  explicit ProvenanceLedger(size_t max_pages = kDefaultMaxPages) : max_pages_(max_pages) {}
+
+  // Runtime switch; starts enabled.
+  void set_enabled(bool on) { enabled_ = on; }
+  bool enabled() const { return enabled_; }
 
   void OnPromote(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->promotions++;
-        rec->promoted_live = true;
-        promotions_++;
-      }
-    } else {
-      Unused(vpn, now);
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->promotions++;
+      rec->promoted_live = true;
+      promotions_++;
     }
   }
 
   void OnDemote(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->demotions++;
-        demotions_++;
-        if (rec->promoted_live) {
-          rec->ping_pongs++;
-          ping_pong_events_++;
-          rec->promoted_live = false;
-        }
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->demotions++;
+      demotions_++;
+      if (rec->promoted_live) {
+        rec->ping_pongs++;
+        ping_pong_events_++;
+        rec->promoted_live = false;
       }
-    } else {
-      Unused(vpn, now);
     }
   }
 
   void OnAbort(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->aborts++;
-        aborts_++;
-      }
-    } else {
-      Unused(vpn, now);
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->aborts++;
+      aborts_++;
     }
   }
 
   void OnRedirty(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->redirties++;
-        redirty_events_++;
-      }
-    } else {
-      Unused(vpn, now);
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->redirties++;
+      redirty_events_++;
     }
   }
 
   void OnAdmitDefer(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->admit_defers++;
-        admit_defers_++;
-      }
-    } else {
-      Unused(vpn, now);
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->admit_defers++;
+      admit_defers_++;
     }
   }
 
   void OnAdmitReject(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->admit_rejects++;
-        admit_rejects_++;
-      }
-    } else {
-      Unused(vpn, now);
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->admit_rejects++;
+      admit_rejects_++;
     }
   }
 
   void OnAdmitDowngrade(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->admit_downgrades++;
-        admit_downgrades_++;
-      }
-    } else {
-      Unused(vpn, now);
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->admit_downgrades++;
+      admit_downgrades_++;
     }
   }
 
   void OnShadowFree(uint64_t vpn, Cycles now) {
-    if constexpr (kTracingEnabled) {
-      PageProvenance* rec = Touch(vpn, now);
-      if (rec != nullptr) {
-        rec->shadow_frees++;
-        shadow_frees_++;
-      }
-    } else {
-      Unused(vpn, now);
+    PageProvenance* rec = Touch(vpn, now);
+    if (rec != nullptr) {
+      rec->shadow_frees++;
+      shadow_frees_++;
     }
   }
 
@@ -200,14 +170,11 @@ class NOMAD_SHARD_CONFINED ProvenanceLedger {
   void Reset();
 
  private:
-  static void Unused(uint64_t vpn, Cycles now) {
-    (void)vpn;
-    (void)now;
-  }
-
-  // Record for vpn, creating it if the bound allows; nullptr when dropped.
+  // Record for vpn, creating it if the bound allows; nullptr when dropped
+  // or disabled.
   PageProvenance* Touch(uint64_t vpn, Cycles now);
 
+  bool enabled_ = true;
   size_t max_pages_;
   // Hash-keyed: Touch runs once per migration event, and a red-black tree
   // walk over 64k nodes was ~11% of a tpp run's wall clock. Nothing

@@ -61,10 +61,6 @@ size_t Timeline::Channel(const std::string& name) {
       return i;
     }
   }
-  if constexpr (!kTracingEnabled) {
-    // Stubbed: validate the name but never grow storage.
-    return 0;
-  }
   Column col;
   col.name = name;
   // Backfill so the new column stays slot-aligned with existing samples.
@@ -74,10 +70,6 @@ size_t Timeline::Channel(const std::string& name) {
 }
 
 void Timeline::BeginSample(Cycles time) {
-  if constexpr (!kTracingEnabled) {
-    (void)time;
-    return;
-  }
   NOMAD_CHECK(!in_sample_, "BeginSample inside an open sample");
   in_sample_ = true;
   if (times_.size() == config_.capacity && config_.capacity > 0) {
@@ -98,22 +90,12 @@ void Timeline::BeginSample(Cycles time) {
 }
 
 void Timeline::Set(size_t channel, uint64_t value) {
-  if constexpr (!kTracingEnabled) {
-    (void)channel;
-    (void)value;
-    return;
-  }
   NOMAD_CHECK(in_sample_, "Set outside BeginSample/EndSample");
   NOMAD_CHECK(channel < columns_.size(), "bad timeline channel ", channel);
   columns_[channel].values[Newest()] = value;
 }
 
 void Timeline::SetDelta(size_t channel, uint64_t absolute) {
-  if constexpr (!kTracingEnabled) {
-    (void)channel;
-    (void)absolute;
-    return;
-  }
   NOMAD_CHECK(in_sample_, "SetDelta outside BeginSample/EndSample");
   NOMAD_CHECK(channel < columns_.size(), "bad timeline channel ", channel);
   Column& col = columns_[channel];
@@ -122,9 +104,6 @@ void Timeline::SetDelta(size_t channel, uint64_t absolute) {
 }
 
 void Timeline::EndSample() {
-  if constexpr (!kTracingEnabled) {
-    return;
-  }
   NOMAD_CHECK(in_sample_, "EndSample without BeginSample");
   in_sample_ = false;
 }

@@ -15,9 +15,10 @@
 // that knows the simulator's object graph lives in
 // src/harness/timeline_sampler.h; this class only owns storage and export.
 //
-// Under -DNOMAD_ENABLE_TRACING=OFF the recording surface compiles to
-// no-ops: BeginSample/Set/EndSample do nothing, exports emit an empty
-// timeline, and the simulation's metrics stay byte-identical.
+// A run has a timeline only when one is asked for (Sim::EnableTimeline).
+// The runner then keeps the run's instruments on, because the sampler reads
+// the trace ring's counts and the histograms. Sampling only reads the
+// simulation, so the simulation's metrics stay byte-identical.
 #ifndef SRC_OBS_TIMELINE_H_
 #define SRC_OBS_TIMELINE_H_
 
@@ -28,7 +29,8 @@
 #include <vector>
 
 #include "src/base/annotations.h"
-#include "src/obs/trace.h"
+#include "src/obs/event_registry.h"
+#include "src/sim/clock.h"
 
 namespace nomad {
 

@@ -3,10 +3,10 @@
 // A TraceSink is a fixed-capacity ring buffer of typed, virtual-time-stamped
 // records. Hot paths emit one record per *kernel event* (a TPM transaction
 // stage, a promotion, a kswapd wakeup, ...), never per memory access, so the
-// enabled-path cost is one branch plus one store. When the build disables
-// tracing (cmake -DNOMAD_ENABLE_TRACING=OFF, which defines NOMAD_TRACING=0),
-// every Emit() compiles away to nothing and the sink allocates no storage,
-// guaranteeing zero hot-path overhead.
+// enabled-path cost is one branch plus one store. The ring is allocated on
+// the first record, and a disabled sink (set_enabled(false), which the
+// runner applies when nothing reads the run's instruments) records nothing
+// and allocates nothing.
 //
 // Exporters (src/obs/exporters.h) turn a sink's contents into a
 // chrome://tracing timeline; the harness reducer (src/harness/experiment.h)
@@ -25,14 +25,6 @@
 
 namespace nomad {
 
-#ifndef NOMAD_TRACING
-#define NOMAD_TRACING 1
-#endif
-
-// True when the build carries tracing support. Tests that assert on emitted
-// events must skip when this is false.
-inline constexpr bool kTracingEnabled = NOMAD_TRACING != 0;
-
 struct TraceEventRecord {
   Cycles time = 0;     // virtual time of emission
   uint64_t arg = 0;    // event-specific subject (see table above)
@@ -45,36 +37,30 @@ class NOMAD_SHARD_CONFINED TraceSink {
  public:
   static constexpr size_t kDefaultCapacity = size_t{1} << 16;
 
-  // Capacity is rounded up to a power of two (minimum 2).
-  explicit TraceSink(size_t capacity = kDefaultCapacity) {
-    if constexpr (kTracingEnabled) {
-      const size_t cap = std::bit_ceil(capacity < 2 ? size_t{2} : capacity);
-      records_.resize(cap);
-      mask_ = cap - 1;
-    }
-  }
+  // Capacity is rounded up to a power of two (minimum 2). The ring itself
+  // is allocated by the first Emit().
+  explicit TraceSink(size_t capacity = kDefaultCapacity)
+      : mask_(std::bit_ceil(capacity < 2 ? size_t{2} : capacity) - 1) {}
 
   void Emit(TraceEvent type, Cycles time, uint16_t actor, uint64_t arg, uint64_t value = 0) {
-    if constexpr (kTracingEnabled) {
-      if (!enabled_) {
-        return;
-      }
-      records_[emitted_ & mask_] = TraceEventRecord{time, arg, value, actor, type};
-      emitted_++;
-    } else {
-      (void)type;
-      (void)time;
-      (void)actor;
-      (void)arg;
-      (void)value;
+    if (!enabled_) {
+      return;
     }
+    if (records_.empty()) {
+      records_.resize(mask_ + 1);
+    }
+    records_[emitted_ & mask_] = TraceEventRecord{time, arg, value, actor, type};
+    emitted_++;
   }
 
-  // Runtime switch; starts enabled (in tracing builds).
-  void set_enabled(bool on) { enabled_ = kTracingEnabled && on; }
+  // Runtime switch; starts enabled.
+  void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  size_t capacity() const { return kTracingEnabled ? mask_ + 1 : 0; }
+  size_t capacity() const { return mask_ + 1; }
+  // Records the ring has storage for: 0 until the first Emit(), then
+  // capacity().
+  size_t allocated() const { return records_.size(); }
 
   // Records currently retained (<= capacity).
   size_t size() const { return emitted_ < capacity() ? static_cast<size_t>(emitted_) : capacity(); }
@@ -97,7 +83,7 @@ class NOMAD_SHARD_CONFINED TraceSink {
   std::vector<TraceEventRecord> records_;
   size_t mask_ = 0;
   uint64_t emitted_ = 0;
-  bool enabled_ = kTracingEnabled;
+  bool enabled_ = true;
 };
 
 }  // namespace nomad

@@ -2,9 +2,8 @@
 // and the annotated synchronization wrappers (src/base/mutex.h).
 //
 // Two properties matter. (1) On non-Clang compilers every macro must expand
-// to NOTHING — a GCC build (this repo's default toolchain, and the
-// tracing-off / faults-off CI configurations) must see plain C++, or the
-// annotation rollout would change codegen or break -Werror with
+// to NOTHING — a GCC build (this repo's default toolchain) must see plain
+// C++, or the annotation rollout would change codegen or break -Werror with
 // unknown-attribute warnings. The stringification checks pin that down at
 // compile time. (2) The Mutex/MutexLock/CondVar wrappers must be faithful
 // stand-ins for std::mutex / std::lock_guard / std::condition_variable:

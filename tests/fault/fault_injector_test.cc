@@ -79,9 +79,6 @@ TEST(FaultInjectorTest, StreamsAreIndependentAcrossKinds) {
 }
 
 TEST(FaultInjectorTest, EmitsTraceRecordPerInjection) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "tracing compiled out";
-  }
   TraceSink sink(1024);
   FaultInjector fi(9);
   fi.Bind(&sink, nullptr);

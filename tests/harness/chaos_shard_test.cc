@@ -41,13 +41,11 @@ TEST_P(ChaosMatrixTest, QuiescesWithDegradationAtEveryThreadCount) {
       EXPECT_TRUE(r.ok);
       EXPECT_EQ(r.invariant_violations, 0u) << r.recovery;
       EXPECT_GT(r.epochs, 0u);
-      if (kFaultInjectionEnabled) {
-        // The cell must have exercised its failure mode: faults fired and
-        // the control plane visibly degraded (stall/delay/wave/overflow/
-        // sync-fallback counters), rather than sailing through untouched.
-        EXPECT_GT(r.faults_injected, 0u) << r.recovery;
-        EXPECT_GT(r.degradations, 0u) << r.recovery;
-      }
+      // The cell must have exercised its failure mode: faults fired and
+      // the control plane visibly degraded (stall/delay/wave/overflow/
+      // sync-fallback counters), rather than sailing through untouched.
+      EXPECT_GT(r.faults_injected, 0u) << r.recovery;
+      EXPECT_GT(r.degradations, 0u) << r.recovery;
     }
   }
 }
@@ -69,9 +67,6 @@ INSTANTIATE_TEST_SUITE_P(AllFocuses, ChaosMatrixTest, ::testing::ValuesIn(kChaos
 // the deterministic watchdog must convict at least one shard and surface
 // the verdict in both the merged result and the recovery record.
 TEST(ChaosWatchdogTest, StallFocusTripsWatchdog) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   const ChaosCellResult r = RunChaosCell(Cell(ChaosFocus::kShardStall, /*threads=*/1, /*seed=*/1));
   ASSERT_TRUE(r.ok);
   EXPECT_GT(r.watchdog_stalls, 0u) << r.recovery;

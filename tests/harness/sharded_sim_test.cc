@@ -4,11 +4,9 @@
 // internally consistent, and a one-shard run must be the classic run.
 #include "src/harness/sharded_sim.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include <gtest/gtest.h>
+
+#include "tests/harness/run_compare.h"
 
 namespace nomad {
 namespace {
@@ -20,60 +18,6 @@ ShardedRunConfig SmallConfig(PolicyKind policy) {
   cfg.shards = 4;
   cfg.audit = true;
   return cfg;
-}
-
-// Strict equality of two runs of one machine, field for field: the
-// determinism contract is byte-level, so even doubles must match exactly.
-void ExpectSameRun(const MicroRunResult& a, const MicroRunResult& b) {
-  EXPECT_EQ(a.report.transient_gbps, b.report.transient_gbps);
-  EXPECT_EQ(a.report.stable_gbps, b.report.stable_gbps);
-  EXPECT_EQ(a.report.overall_gbps, b.report.overall_gbps);
-  EXPECT_EQ(a.report.mean_latency_cycles, b.report.mean_latency_cycles);
-  EXPECT_EQ(a.report.p99_latency_cycles, b.report.p99_latency_cycles);
-  EXPECT_EQ(a.report.total_ops, b.report.total_ops);
-  EXPECT_EQ(a.report.total_cycles, b.report.total_cycles);
-  EXPECT_EQ(a.report.window_bytes, b.report.window_bytes);
-  EXPECT_EQ(a.counters.ToString(), b.counters.ToString());
-  EXPECT_EQ(a.first_half.ToString(), b.first_half.ToString());
-  EXPECT_EQ(Promotions(a.counters), Promotions(b.counters));
-  EXPECT_EQ(Demotions(a.counters), Demotions(b.counters));
-  EXPECT_EQ(a.shadow_pages, b.shadow_pages);
-  EXPECT_EQ(a.tpm_commits, b.tpm_commits);
-  EXPECT_EQ(a.tpm_aborts, b.tpm_aborts);
-  EXPECT_EQ(a.fast_used, b.fast_used);
-  EXPECT_EQ(a.slow_used, b.slow_used);
-  EXPECT_EQ(a.pcq_hwm, b.pcq_hwm);
-  EXPECT_EQ(a.pending_hwm, b.pending_hwm);
-  EXPECT_EQ(a.pcq_overflows, b.pcq_overflows);
-}
-
-void ExpectIdentical(const ShardedRunResult& a, const ShardedRunResult& b) {
-  EXPECT_EQ(a.total_ops, b.total_ops);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.max_virtual_time, b.max_virtual_time);
-  EXPECT_EQ(a.aggregate_gbps, b.aggregate_gbps);
-  ASSERT_EQ(a.per_shard.size(), b.per_shard.size());
-  for (size_t s = 0; s < a.per_shard.size(); s++) {
-    SCOPED_TRACE("shard " + std::to_string(s));
-    ExpectSameRun(a.per_shard[s], b.per_shard[s]);
-  }
-}
-
-// Runs `run` with a collector exporting to a temporary file and returns the
-// metrics document it wrote.
-template <typename Run>
-std::string MetricsDoc(const std::string& name, Run run) {
-  const std::string path = ::testing::TempDir() + "sharded_sim_test_" + name + ".json";
-  {
-    MetricsCollector collector("sharded_sim_test", path, "");
-    run(&collector);
-  }
-  std::ifstream in(path);
-  std::stringstream body;
-  body << in.rdbuf();
-  std::remove(path.c_str());
-  return body.str();
 }
 
 TEST(ShardedSimTest, ThreadCountDoesNotChangeResults) {
@@ -166,9 +110,9 @@ TEST(ShardedSimTest, OneShardIsTheClassicRun) {
     ShardedRunResult sharded;
     MicroRunResult classic;
     const std::string sharded_doc = MetricsDoc(
-        "micro_one_shard", [&](MetricsCollector* c) { sharded = RunShardedMicro(cfg, c); });
+        "sharded_sim_test_micro_one_shard", [&](MetricsCollector* c) { sharded = RunShardedMicro(cfg, c); });
     const std::string classic_doc = MetricsDoc(
-        "micro_classic", [&](MetricsCollector* c) { classic = RunMicroBench(cfg.base, c); });
+        "sharded_sim_test_micro_classic", [&](MetricsCollector* c) { classic = RunMicroBench(cfg.base, c); });
     ASSERT_EQ(sharded.per_shard.size(), 1u);
     ExpectSameRun(sharded.per_shard[0], classic);
     EXPECT_EQ(sharded.total_ops, cfg.base.total_ops);
@@ -200,9 +144,9 @@ TEST(ShardedYcsbTest, OneShardIsTheClassicRun) {
   ShardedAppResult sharded;
   AppRunResult classic;
   const std::string sharded_doc = MetricsDoc(
-      "ycsb_one_shard", [&](MetricsCollector* c) { sharded = RunShardedYcsb(cfg, c); });
+      "sharded_sim_test_ycsb_one_shard", [&](MetricsCollector* c) { sharded = RunShardedYcsb(cfg, c); });
   const std::string classic_doc = MetricsDoc(
-      "ycsb_classic", [&](MetricsCollector* c) { classic = RunYcsbBench(cfg.base, c); });
+      "sharded_sim_test_ycsb_classic", [&](MetricsCollector* c) { classic = RunYcsbBench(cfg.base, c); });
   ASSERT_EQ(sharded.per_shard.size(), 1u);
   const AppRunResult& one = sharded.per_shard[0];
   EXPECT_EQ(one.ops_per_sec, classic.ops_per_sec);
@@ -247,6 +191,21 @@ TEST(ShardedSimDeathTest, ZeroEpochIsRejectedWithMoreThanOneShard) {
   ShardedYcsbConfig ycsb = SmallYcsbConfig();
   ycsb.epoch_cycles = 0;
   EXPECT_DEATH(RunShardedYcsb(ycsb), "epoch_cycles must be > 0.*shards=4");
+}
+
+TEST(ShardedSimDeathTest, ZeroThreadsOrScaleIsRejected) {
+  // A micro run with no app thread would wait forever for ops, and a zero
+  // scale divisor divides by zero; both must stop, naming the field.
+  ShardedRunConfig micro = SmallConfig(PolicyKind::kNomad);
+  micro.base.threads = 0;
+  EXPECT_DEATH(RunShardedMicro(micro), "threads must be > 0");
+  EXPECT_DEATH(RunMicroBench(micro.base), "threads must be > 0");
+  micro = SmallConfig(PolicyKind::kNomad);
+  micro.base.scale_denom = 0;
+  EXPECT_DEATH(RunShardedMicro(micro), "scale_denom must be > 0");
+  ShardedYcsbConfig ycsb = SmallYcsbConfig();
+  ycsb.base.scale_denom = 0;
+  EXPECT_DEATH(RunShardedYcsb(ycsb), "scale_denom must be > 0");
 }
 
 }  // namespace

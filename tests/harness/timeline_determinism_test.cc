@@ -3,9 +3,7 @@
 // byte-identical for any exec_threads value. Sampling happens at lockstep
 // epoch boundaries (the interval is rounded up to whole epochs), so OS
 // scheduling must be invisible in both the sample times and every channel
-// value. In the -DNOMAD_ENABLE_TRACING=OFF build the sampler is stubbed
-// and the comparison degenerates to header-only CSVs — the test then
-// proves the stubbed path still compiles and runs end to end.
+// value.
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -71,26 +69,22 @@ TEST(TimelineDeterminismTest, ThreadCountDoesNotChangeTimelines) {
                                 << " differs between 1 and 4 worker threads";
   }
 
-  // Tracing-on, the CSVs must carry real samples (header + rows) with a
-  // strictly increasing time axis (the shard's virtual clock at each
-  // lockstep boundary); tracing-off they are header-only.
+  // The CSVs must carry real samples (header + rows) with a strictly
+  // increasing time axis (the shard's virtual clock at each lockstep
+  // boundary).
   for (const auto& [name, body] : t1) {
-    if (kTracingEnabled) {
-      std::istringstream lines(body);
-      std::string line;
-      ASSERT_TRUE(std::getline(lines, line)) << name;  // header
-      uint64_t prev = 0;
-      size_t rows = 0;
-      while (std::getline(lines, line)) {
-        const uint64_t time = std::stoull(line.substr(0, line.find(',')));
-        EXPECT_GT(time, prev) << "timeline " << name << " time axis not increasing";
-        prev = time;
-        rows++;
-      }
-      EXPECT_GT(rows, 0u) << "timeline " << name << " has no sample rows";
-    } else {
-      EXPECT_EQ("time\n", body) << name;
+    std::istringstream lines(body);
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line)) << name;  // header
+    uint64_t prev = 0;
+    size_t rows = 0;
+    while (std::getline(lines, line)) {
+      const uint64_t time = std::stoull(line.substr(0, line.find(',')));
+      EXPECT_GT(time, prev) << "timeline " << name << " time axis not increasing";
+      prev = time;
+      rows++;
     }
+    EXPECT_GT(rows, 0u) << "timeline " << name << " has no sample rows";
   }
   fs::remove_all(base);
 }

@@ -165,10 +165,8 @@ TEST_F(NomadIntegration, ShadowConsistencyUnderThrashing) {
             0u);
   // The observability layer saw the same mechanisms the counters did: every
   // committed transaction emitted a kTpmCommit trace record.
-  if (kTracingEnabled) {
-    EXPECT_GE(ms.trace().CountOf(TraceEvent::kTpmCommit), 1u);
-    EXPECT_GT(ms.trace().total_emitted(), 0u);
-  }
+  EXPECT_GE(ms.trace().CountOf(TraceEvent::kTpmCommit), 1u);
+  EXPECT_GT(ms.trace().total_emitted(), 0u);
 }
 
 TEST_F(NomadIntegration, WriteHeavyRunAbortsButProgresses) {
@@ -197,13 +195,11 @@ TEST_F(NomadIntegration, WriteHeavyRunAbortsButProgresses) {
   EXPECT_GT(stats.aborts, 0u);
   // Aborted copies leave kTpmAbort records; the trace agrees with the
   // policy's own statistics (modulo ring wraparound).
-  if (kTracingEnabled) {
-    const TraceSink& trace = sim.ms().trace();
-    EXPECT_GE(trace.CountOf(TraceEvent::kTpmAbort), 1u);
-    if (trace.dropped() == 0) {
-      EXPECT_EQ(trace.CountOf(TraceEvent::kTpmAbort), stats.aborts);
-      EXPECT_EQ(trace.CountOf(TraceEvent::kTpmCommit), stats.commits);
-    }
+  const TraceSink& trace = sim.ms().trace();
+  EXPECT_GE(trace.CountOf(TraceEvent::kTpmAbort), 1u);
+  if (trace.dropped() == 0) {
+    EXPECT_EQ(trace.CountOf(TraceEvent::kTpmAbort), stats.aborts);
+    EXPECT_EQ(trace.CountOf(TraceEvent::kTpmCommit), stats.commits);
   }
 }
 

@@ -98,9 +98,6 @@ ChunkedRun RunChunked(size_t chunk, bool arm) {
 }
 
 TEST(BatchFaultTest, IdenticalFaultScheduleAcrossChunkSizes) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   const ChunkedRun k1 = RunChunked(1, /*arm=*/true);
   const ChunkedRun k8 = RunChunked(8, /*arm=*/true);
   // Same opportunity stream -> same decisions -> same injections, same
@@ -115,9 +112,6 @@ TEST(BatchFaultTest, IdenticalFaultScheduleAcrossChunkSizes) {
 }
 
 TEST(BatchFaultTest, MissesPresentOpportunitiesOnTheFastPath) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   // K=8 resolves most accesses on the inline fast path. If that path
   // bypassed the injector, the opportunity count would collapse to the
   // handful of slow-path accesses instead of one per LLC miss.
@@ -138,9 +132,6 @@ TEST(BatchFaultTest, UnarmedInjectorKeepsChunkEquivalence) {
 // End-to-end: a full Sim whose workload uses the default batch of 8 still
 // reaches the injector from its hot loop.
 TEST(BatchFaultTest, WorkloadFastPathReachesInjector) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   Sim sim(TestPlatform(), PolicyKind::kNomad, kAsPages);
   auto fi = std::make_unique<FaultInjector>(kSeed);
   FaultSchedule spike;

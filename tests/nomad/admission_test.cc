@@ -162,17 +162,12 @@ TEST_F(AdmissionTest, EveryVerdictIsCountedAndTraced) {
   EXPECT_EQ(ms_.counters().Get(cnt::kAdmissionReject), 1u);
   EXPECT_EQ(ms_.counters().Get(cnt::kAdmissionDefer), admission_->stats().defers);
   EXPECT_GT(admission_->stats().defers, 0u);
-  if (kTracingEnabled) {
-    const uint64_t verdicts = admission_->stats().accepts + admission_->stats().defers +
-                              admission_->stats().rejects + admission_->stats().downgrades;
-    EXPECT_EQ(ms_.trace().CountOf(TraceEvent::kAdmissionVerdict), verdicts);
-  }
+  const uint64_t verdicts = admission_->stats().accepts + admission_->stats().defers +
+                            admission_->stats().rejects + admission_->stats().downgrades;
+  EXPECT_EQ(ms_.trace().CountOf(TraceEvent::kAdmissionVerdict), verdicts);
 }
 
 TEST_F(AdmissionTest, ProvenanceRecordsDegradingVerdicts) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "provenance ledger compiled out";
-  }
   const Pfn storm = SlowPage(0);
   const Pfn ok = SlowPage(1);
   ms_.pool().frame(storm).set_tpm_aborts(3);

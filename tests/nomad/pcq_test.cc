@@ -194,9 +194,7 @@ TEST_F(PcqTest, OverflowEmitsTraceAndCounts) {
   EXPECT_EQ(queues_->pcq_size(), 8u);
   EXPECT_EQ(queues_->overflow_count(), 1u);
   EXPECT_EQ(ms_.counters().Get("nomad.pcq_overflow"), 1u);
-  if (kTracingEnabled) {
-    EXPECT_EQ(ms_.trace().CountOf(TraceEvent::kPcqOverflow), 1u);
-  }
+  EXPECT_EQ(ms_.trace().CountOf(TraceEvent::kPcqOverflow), 1u);
 }
 
 TEST_F(PcqTest, HighWatermarksTrackDepth) {
@@ -245,9 +243,6 @@ TEST_F(PcqTest, DeferPendingSurfacesAfterReadyTime) {
 // it waits.
 
 TEST_F(PcqTest, ForcedOverflowEvictsOnlyOldestCandidate) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   auto fi = std::make_unique<FaultInjector>(7);
   FaultSchedule storm;
   storm.probability = 1.0;
@@ -268,9 +263,6 @@ TEST_F(PcqTest, ForcedOverflowEvictsOnlyOldestCandidate) {
 }
 
 TEST_F(PcqTest, DeferredRetrySurvivesForcedOverflowStorm) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   TickerActor ticker;
   engine_.AddActor(&ticker);
   auto fi = std::make_unique<FaultInjector>(7);
@@ -297,9 +289,6 @@ TEST_F(PcqTest, DeferredRetrySurvivesForcedOverflowStorm) {
 }
 
 TEST_F(PcqTest, ForcedOverflowPreservesFifoOrderOfSurvivors) {
-  if (!kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   auto fi = std::make_unique<FaultInjector>(7);
   FaultSchedule once;
   once.trigger_start = 0;  // window-only (no probability): exactly the

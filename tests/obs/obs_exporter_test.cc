@@ -282,9 +282,6 @@ TraceSink MakeSinkWithTpm() {
 }
 
 TEST(ChromeTraceTest, DocumentIsValidAndBalanced) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   const TraceSink sink = MakeSinkWithTpm();
   std::ostringstream os;
   WriteChromeTrace(sink, /*ghz=*/2.0, {"app0", "app1", "kswapd", "kpromote"}, os);
@@ -303,9 +300,6 @@ TEST(ChromeTraceTest, DocumentIsValidAndBalanced) {
 }
 
 TEST(ChromeTraceTest, DanglingBeginIsClosed) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   TraceSink sink(16);
   sink.Emit(TraceEvent::kTpmBegin, 10, 0, 1, 50);  // never commits
   std::ostringstream os;
@@ -316,9 +310,6 @@ TEST(ChromeTraceTest, DanglingBeginIsClosed) {
 }
 
 TEST(ChromeTraceTest, DanglingEndBecomesInstant) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   TraceSink sink(16);
   sink.Emit(TraceEvent::kTpmCommit, 10, 0, 1, 5);  // begin lost to wraparound
   std::ostringstream os;
@@ -356,9 +347,6 @@ TEST(MetricsJsonTest, BuildingBlocksComposeValidJson) {
 }
 
 TEST(ChromeTraceTest, RingWraparoundKeepsDocumentBalanced) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   // Capacity 8: the begin is overwritten long before its commit arrives, so
   // the exporter sees an end with no open begin and must degrade it to an
   // instant rather than emit an unbalanced "E".
@@ -387,13 +375,9 @@ TEST(MetricsJsonTest, TraceSummarySurfacesDroppedAfterWraparound) {
   AppendTraceSummaryJson(jw, sink);
   const std::string doc = os.str();
   EXPECT_TRUE(IsValidJson(doc)) << doc;
-  if (kTracingEnabled) {
-    EXPECT_NE(doc.find("\"emitted\":10"), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"retained\":4"), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"dropped\":6"), std::string::npos) << doc;
-  } else {
-    EXPECT_NE(doc.find("\"dropped\":0"), std::string::npos) << doc;
-  }
+  EXPECT_NE(doc.find("\"emitted\":10"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"retained\":4"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"dropped\":6"), std::string::npos) << doc;
 }
 
 TEST(MetricsJsonTest, ObservabilityExportersComposeValidJson) {
@@ -420,11 +404,9 @@ TEST(MetricsJsonTest, ObservabilityExportersComposeValidJson) {
   jw.EndObject();
   const std::string doc = os.str();
   EXPECT_TRUE(IsValidJson(doc)) << doc;
-  if (kTracingEnabled) {
-    EXPECT_NE(doc.find("\"tpm\":{\"self\":100,\"total\":140}"), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"migration.latency\""), std::string::npos) << doc;
-    EXPECT_NE(doc.find("\"ping_pong_events\":1"), std::string::npos) << doc;
-  }
+  EXPECT_NE(doc.find("\"tpm\":{\"self\":100,\"total\":140}"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"migration.latency\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"ping_pong_events\":1"), std::string::npos) << doc;
 }
 
 TEST(MetricsJsonTest, TraceSummaryReportsPerTypeCounts) {
@@ -434,10 +416,8 @@ TEST(MetricsJsonTest, TraceSummaryReportsPerTypeCounts) {
   AppendTraceSummaryJson(jw, sink);
   const std::string doc = os.str();
   EXPECT_TRUE(IsValidJson(doc)) << doc;
-  if (kTracingEnabled) {
-    EXPECT_NE(doc.find("\"tpm_commit\":1"), std::string::npos);
-    EXPECT_NE(doc.find("\"tpm_abort\":1"), std::string::npos);
-  }
+  EXPECT_NE(doc.find("\"tpm_commit\":1"), std::string::npos);
+  EXPECT_NE(doc.find("\"tpm_abort\":1"), std::string::npos);
 }
 
 }  // namespace

@@ -26,18 +26,12 @@ TEST(TraceSinkTest, EventNamesAreStableAndDistinct) {
 }
 
 TEST(TraceSinkTest, CapacityRoundsUpToPowerOfTwo) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   EXPECT_EQ(TraceSink(1).capacity(), 2u);
   EXPECT_EQ(TraceSink(5).capacity(), 8u);
   EXPECT_EQ(TraceSink(64).capacity(), 64u);
 }
 
 TEST(TraceSinkTest, EmitRecordsInOrder) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   TraceSink sink(16);
   sink.Emit(TraceEvent::kPromote, 100, 1, 42, 7);
   sink.Emit(TraceEvent::kDemote, 200, 2, 43);
@@ -56,9 +50,6 @@ TEST(TraceSinkTest, EmitRecordsInOrder) {
 }
 
 TEST(TraceSinkTest, WraparoundKeepsNewestAndCountsDropped) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   TraceSink sink(8);
   ASSERT_EQ(sink.capacity(), 8u);
   for (uint64_t i = 0; i < 20; i++) {
@@ -77,9 +68,6 @@ TEST(TraceSinkTest, WraparoundKeepsNewestAndCountsDropped) {
 }
 
 TEST(TraceSinkTest, DisableStopsEmission) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   TraceSink sink(8);
   sink.Emit(TraceEvent::kPromote, 1, 0, 1);
   sink.set_enabled(false);
@@ -94,9 +82,6 @@ TEST(TraceSinkTest, DisableStopsEmission) {
 }
 
 TEST(TraceSinkTest, ClearResets) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   TraceSink sink(8);
   sink.Emit(TraceEvent::kPromote, 1, 0, 1);
   sink.Clear();
@@ -105,15 +90,25 @@ TEST(TraceSinkTest, ClearResets) {
   EXPECT_TRUE(sink.Snapshot().empty());
 }
 
-TEST(TraceSinkTest, CompiledOutSinkIsInert) {
-  if (kTracingEnabled) {
-    GTEST_SKIP() << "only meaningful with NOMAD_TRACING=0";
-  }
-  TraceSink sink;
+TEST(TraceSinkTest, RingIsAllocatedByFirstRecord) {
+  TraceSink sink(8);
+  EXPECT_EQ(sink.allocated(), 0u);
+  EXPECT_TRUE(sink.Snapshot().empty());
+  EXPECT_EQ(sink.CountOf(TraceEvent::kPromote), 0u);
   sink.Emit(TraceEvent::kPromote, 1, 0, 1);
-  EXPECT_EQ(sink.capacity(), 0u);
-  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.allocated(), 8u);
+  EXPECT_EQ(sink.size(), 1u);
+}
+
+TEST(TraceSinkTest, DisabledSinkRecordsAndAllocatesNothing) {
+  TraceSink sink;
+  sink.set_enabled(false);
+  sink.Emit(TraceEvent::kPromote, 1, 0, 1);
   EXPECT_FALSE(sink.enabled());
+  EXPECT_EQ(sink.capacity(), TraceSink::kDefaultCapacity);
+  EXPECT_EQ(sink.allocated(), 0u);
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.total_emitted(), 0u);
 }
 
 // An actor that emits one record per step, tagged with its engine id.
@@ -140,9 +135,6 @@ class EmittingActor : public Actor {
 };
 
 TEST(TraceSinkTest, InterleavedActorsEmitInVirtualTimeOrder) {
-  if (!kTracingEnabled) {
-    GTEST_SKIP() << "built with NOMAD_TRACING=0";
-  }
   TraceSink sink(64);
   Engine engine;
   // Different periods force interleaving: a, b, a, b, a, a, b, ...

@@ -1,7 +1,6 @@
 // Profiler tests: self/total attribution under nesting, collapsed-path
-// bookkeeping, recursion de-dup, unattributed cycles, and the compile-out
-// contract (a tracing-off build must still compile every call site; the
-// mutators become no-ops).
+// bookkeeping, recursion de-dup, unattributed cycles, and the runtime off
+// switch (a disabled profiler books nothing and keeps no stack).
 #include "src/obs/prof.h"
 
 #include <gtest/gtest.h>
@@ -22,10 +21,6 @@ TEST(ProfilerTest, ChargeAttributesSelfAndTotal) {
   p.Exit();
   p.Charge(10);  // tpm self again
   p.Exit();
-  if (!kTracingEnabled) {
-    EXPECT_EQ(p.self_cycles(ProfNode::kTpm), 0u);
-    return;
-  }
   EXPECT_EQ(p.self_cycles(ProfNode::kTpm), 110u);
   EXPECT_EQ(p.total_cycles(ProfNode::kTpm), 150u);
   EXPECT_EQ(p.self_cycles(ProfNode::kTpmCopy), 40u);
@@ -37,9 +32,6 @@ TEST(ProfilerTest, ChargeAttributesSelfAndTotal) {
 TEST(ProfilerTest, EmptyStackGoesToUnattributed) {
   Profiler p;
   p.Charge(77);
-  if (!kTracingEnabled) {
-    return;
-  }
   EXPECT_EQ(p.unattributed(), 77u);
   EXPECT_TRUE(p.paths().empty());
 }
@@ -49,9 +41,6 @@ TEST(ProfilerTest, ZeroChargeIsDropped) {
   p.Enter(ProfNode::kGovernor);
   p.Charge(0);
   p.Exit();
-  if (!kTracingEnabled) {
-    return;
-  }
   EXPECT_EQ(p.total_cycles(ProfNode::kGovernor), 0u);
   EXPECT_TRUE(p.paths().empty());
 }
@@ -62,9 +51,6 @@ TEST(ProfilerTest, PathsRecordDistinctStacks) {
   p.Enter(ProfNode::kKswapdReclaim);
   p.ChargeLeaf(ProfNode::kLruScan, 7);  // nested scan: a different path
   p.Exit();
-  if (!kTracingEnabled) {
-    return;
-  }
   EXPECT_EQ(p.paths().size(), 2u);
   EXPECT_EQ(p.self_cycles(ProfNode::kLruScan), 12u);
   EXPECT_EQ(p.total_cycles(ProfNode::kKswapdReclaim), 7u);
@@ -85,9 +71,6 @@ TEST(ProfilerTest, RecursiveNodeCountsTotalOnce) {
   p.Charge(50);
   p.Exit();
   p.Exit();
-  if (!kTracingEnabled) {
-    return;
-  }
   // Total must not double-count the node for the two stack levels.
   EXPECT_EQ(p.total_cycles(ProfNode::kSyncMigrate), 50u);
   EXPECT_EQ(p.self_cycles(ProfNode::kSyncMigrate), 50u);
@@ -100,9 +83,6 @@ TEST(ProfilerTest, DecodePathRoundTrips) {
   p.Charge(9);
   p.Exit();
   p.Exit();
-  if (!kTracingEnabled) {
-    return;
-  }
   ASSERT_EQ(p.paths().size(), 1u);
   const std::vector<ProfNode> path = Profiler::DecodePath(p.paths().begin()->first);
   ASSERT_EQ(path.size(), 2u);
@@ -120,12 +100,30 @@ TEST(ProfilerTest, ProfScopeIsBalanced) {
     }
     p.Charge(4);
   }
-  if (!kTracingEnabled) {
-    return;
-  }
   EXPECT_EQ(p.depth(), 0);
   EXPECT_EQ(p.total_cycles(ProfNode::kKswapdReclaim), 7u);
   EXPECT_EQ(p.self_cycles(ProfNode::kShadowReclaim), 3u);
+}
+
+TEST(ProfilerTest, DisabledProfilerBooksNothing) {
+  Profiler p;
+  p.set_enabled(false);
+  {
+    ProfScope span(p, ProfNode::kTpm);
+    p.ChargeLeaf(ProfNode::kTpmCopy, 40);
+    p.Charge(100);
+  }
+  p.Charge(5);
+  EXPECT_EQ(p.depth(), 0);
+  EXPECT_EQ(p.total_cycles(ProfNode::kTpm), 0u);
+  EXPECT_EQ(p.unattributed(), 0u);
+  EXPECT_TRUE(p.paths().empty());
+}
+
+TEST(ProfilerDeathTest, SwitchInsideSpanAborts) {
+  Profiler p;
+  p.Enter(ProfNode::kTpm);
+  EXPECT_DEATH(p.set_enabled(false), "prof switched inside a span");
 }
 
 TEST(ProfilerTest, ResetClearsEverything) {
@@ -133,9 +131,6 @@ TEST(ProfilerTest, ResetClearsEverything) {
   p.ChargeLeaf(ProfNode::kPebsDrain, 11);
   p.Charge(5);  // unattributed
   p.Reset();
-  if (!kTracingEnabled) {
-    return;
-  }
   EXPECT_EQ(p.total_cycles(ProfNode::kPebsDrain), 0u);
   EXPECT_EQ(p.unattributed(), 0u);
   EXPECT_TRUE(p.paths().empty());
@@ -151,10 +146,6 @@ TEST(ProfilerExportTest, CollapsedStacksFormat) {
   std::ostringstream os;
   WriteCollapsedStacks(p, os);
   const std::string text = os.str();
-  if (!kTracingEnabled) {
-    EXPECT_TRUE(text.empty());
-    return;
-  }
   EXPECT_NE(text.find("tpm 100\n"), std::string::npos) << text;
   EXPECT_NE(text.find("tpm;tpm_copy 40\n"), std::string::npos) << text;
   EXPECT_NE(text.find("(unattributed) 6\n"), std::string::npos) << text;
@@ -167,10 +158,6 @@ TEST(ProfilerExportTest, ProfileJsonSkipsIdleNodes) {
   JsonWriter jw(os);
   AppendProfileJson(jw, p);
   const std::string doc = os.str();
-  if (!kTracingEnabled) {
-    EXPECT_EQ(doc.find("governor"), std::string::npos);
-    return;
-  }
   EXPECT_NE(doc.find("\"governor\":{\"self\":21,\"total\":21}"), std::string::npos)
       << doc;
   // Nodes that never charged stay out of the document.

@@ -20,10 +20,6 @@ TEST(ProvenanceTest, PingPongNeedsLivePromotion) {
   ledger.OnPromote(5, 200);
   ledger.OnDemote(5, 300);
   ledger.OnDemote(5, 400);
-  if (!kTracingEnabled) {
-    EXPECT_EQ(ledger.tracked(), 0u);
-    return;
-  }
   const PageProvenance& rec = ledger.pages().at(5);
   EXPECT_EQ(rec.promotions, 1u);
   EXPECT_EQ(rec.demotions, 3u);
@@ -42,10 +38,6 @@ TEST(ProvenanceTest, RedirtyRateIsPerPromotion) {
   ledger.OnPromote(3, 30);
   ledger.OnPromote(4, 40);
   ledger.OnRedirty(1, 50);
-  if (!kTracingEnabled) {
-    EXPECT_EQ(ledger.RedirtyRate(), 0.0);
-    return;
-  }
   EXPECT_DOUBLE_EQ(ledger.RedirtyRate(), 0.25);
   EXPECT_EQ(ledger.redirty_events(), 1u);
 }
@@ -57,9 +49,6 @@ TEST(ProvenanceTest, BoundDropsExcessPages) {
   }
   // Updates to already-tracked pages still land after the bound is hit.
   ledger.OnDemote(0, 100);
-  if (!kTracingEnabled) {
-    return;
-  }
   EXPECT_EQ(ledger.tracked(), 4u);
   EXPECT_EQ(ledger.dropped(), 6u);
   EXPECT_EQ(ledger.promotions(), 4u);
@@ -81,10 +70,6 @@ TEST(ProvenanceTest, TopThrashersRankingIsDeterministic) {
   ledger.OnAbort(31, 6);
   ledger.OnAbort(30, 7);
   ledger.OnPromote(40, 8);
-  if (!kTracingEnabled) {
-    EXPECT_TRUE(ledger.TopThrashers(10).empty());
-    return;
-  }
   const auto top = ledger.TopThrashers(3);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].vpn, 10u);
@@ -99,9 +84,6 @@ TEST(ProvenanceTest, ShadowFreesTracked) {
   ProvenanceLedger ledger;
   ledger.OnPromote(7, 1);
   ledger.OnShadowFree(7, 2);
-  if (!kTracingEnabled) {
-    return;
-  }
   EXPECT_EQ(ledger.shadow_frees(), 1u);
   EXPECT_EQ(ledger.pages().at(7).shadow_frees, 1u);
 }
@@ -115,11 +97,9 @@ TEST(ProvenanceTest, ResetClears) {
   EXPECT_EQ(ledger.tracked(), 0u);
   EXPECT_EQ(ledger.dropped(), 0u);
   EXPECT_EQ(ledger.promotions(), 0u);
-  if (kTracingEnabled) {
-    // The bound re-arms after reset.
-    ledger.OnPromote(9, 4);
-    EXPECT_EQ(ledger.tracked(), 1u);
-  }
+  // The bound re-arms after reset.
+  ledger.OnPromote(9, 4);
+  EXPECT_EQ(ledger.tracked(), 1u);
 }
 
 TEST(ProvenanceExportTest, JsonCarriesAggregatesAndThrashers) {
@@ -131,10 +111,6 @@ TEST(ProvenanceExportTest, JsonCarriesAggregatesAndThrashers) {
   AppendProvenanceJson(jw, ledger);
   const std::string doc = os.str();
   EXPECT_NE(doc.find("\"redirty_rate\""), std::string::npos);
-  if (!kTracingEnabled) {
-    EXPECT_NE(doc.find("\"tracked\":0"), std::string::npos);
-    return;
-  }
   EXPECT_NE(doc.find("\"ping_pong_events\":1"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"vpn\":11"), std::string::npos) << doc;
 }

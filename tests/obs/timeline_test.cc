@@ -1,9 +1,6 @@
 // Unit tests for the time-resolved telemetry ring (src/obs/timeline.h):
 // channel registry validation, column backfill alignment, delta encoding,
-// ring eviction accounting, and the CSV/JSON export shapes. Every mutating
-// expectation is guarded on kTracingEnabled so the suite also passes in the
-// -DNOMAD_ENABLE_TRACING=OFF build, where it instead proves the sampler is
-// fully stubbed (no samples, no columns, header-only CSV).
+// ring eviction accounting, and the CSV/JSON export shapes.
 #include "src/obs/timeline.h"
 
 #include <gtest/gtest.h>
@@ -74,13 +71,6 @@ TEST(TimelineTest, ChannelFindOrCreateAndBackfill) {
   tl.Set(pcq, 3);
   tl.EndSample();
 
-  if (!kTracingEnabled) {
-    EXPECT_EQ(0u, tl.num_samples());
-    EXPECT_EQ(0u, tl.num_channels());
-    EXPECT_EQ(0u, fast);
-    EXPECT_EQ(0u, pcq);  // stub index, storage never grows
-    return;
-  }
   ASSERT_EQ(2u, tl.num_samples());
   ASSERT_EQ(2u, tl.num_channels());
   std::ostringstream csv;
@@ -105,10 +95,6 @@ TEST(TimelineTest, SetDeltaEncodesDifferences) {
   tl.SetDelta(commits, 25);  // no movement
   tl.EndSample();
 
-  if (!kTracingEnabled) {
-    EXPECT_EQ(0u, tl.num_samples());
-    return;
-  }
   std::ostringstream csv;
   tl.WriteCsv(csv);
   EXPECT_EQ(
@@ -126,11 +112,6 @@ TEST(TimelineTest, RingEvictsOldestAndCountsDrops) {
     tl.BeginSample(i * 100);
     tl.Set(fast, i);
     tl.EndSample();
-  }
-  if (!kTracingEnabled) {
-    EXPECT_EQ(0u, tl.num_samples());
-    EXPECT_EQ(0u, tl.dropped());
-    return;
   }
   EXPECT_EQ(2u, tl.num_samples());
   EXPECT_EQ(3u, tl.dropped());
@@ -163,11 +144,6 @@ TEST(TimelineTest, RingKeepsOrderAcrossWrapAndBackfillsLateChannels) {
     tl.SetDelta(commits, i * i);
     tl.Set(pcq, i * 10);
     tl.EndSample();
-  }
-  if (!kTracingEnabled) {
-    EXPECT_EQ(0u, tl.num_samples());
-    EXPECT_EQ(0u, tl.dropped());
-    return;
   }
   EXPECT_EQ(3u, tl.num_samples());
   EXPECT_EQ(4u, tl.dropped());
@@ -203,29 +179,11 @@ TEST(TimelineTest, JsonSectionCarriesSchemaAndColumns) {
   const std::string json = out.str();
   EXPECT_NE(std::string::npos, json.find("\"schema\":\"nomad-timeline-v1\""));
   EXPECT_NE(std::string::npos, json.find("\"interval\":100"));
-  if (kTracingEnabled) {
-    EXPECT_NE(std::string::npos, json.find("\"samples\":1"));
-    EXPECT_NE(std::string::npos, json.find("\"tier.fast.free_frames\":[42]"));
-  } else {
-    EXPECT_NE(std::string::npos, json.find("\"samples\":0"));
-    EXPECT_EQ(std::string::npos, json.find("tier.fast.free_frames"));
-  }
+  EXPECT_NE(std::string::npos, json.find("\"samples\":1"));
+  EXPECT_NE(std::string::npos, json.find("\"tier.fast.free_frames\":[42]"));
 }
 
-TEST(TimelineTest, TracingOffIsFullyStubbed) {
-  // This test is meaningful in both builds: tracing-on it documents the
-  // empty-timeline export shape; tracing-off it proves the whole sampling
-  // path (Channel/Begin/Set/End) compiles to no-ops.
-  Timeline tl(SmallConfig());
-  const size_t ch = tl.Channel(tl::kShadowPages);
-  if (!kTracingEnabled) {
-    tl.BeginSample(100);
-    tl.Set(ch, 1);
-    tl.SetDelta(ch, 2);
-    tl.EndSample();
-    EXPECT_EQ(0u, tl.num_samples());
-    EXPECT_EQ(0u, tl.num_channels());
-  }
+TEST(TimelineTest, EmptyTimelineExportsHeaderOnly) {
   std::ostringstream csv;
   Timeline(SmallConfig()).WriteCsv(csv);
   EXPECT_EQ("time\n", csv.str());

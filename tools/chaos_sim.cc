@@ -407,7 +407,7 @@ int RunSoak(const Flags& flags, uint64_t one_seed, bool verbose) {
           why = "invariant violation";
         }
       }
-      if (ok && kFaultInjectionEnabled && r.degradations == 0) {
+      if (ok && r.degradations == 0) {
         // The cell's faults left no trace in any degradation counter: the
         // schedules are not reaching the resilience paths.
         ok = false;
@@ -441,9 +441,7 @@ int RunSoak(const Flags& flags, uint64_t one_seed, bool verbose) {
 
   std::cout << "chaos_sim --soak: " << cells << " cells, " << total_faults
             << " faults injected, " << total_stalls << " watchdog stalls, "
-            << total_degradations << " degradations, " << failures << " failures"
-            << (kFaultInjectionEnabled ? "" : " [fault injection compiled out]")
-            << "\n";
+            << total_degradations << " degradations, " << failures << " failures\n";
   return failures == 0 ? 0 : 1;
 }
 
@@ -525,8 +523,6 @@ int main(int argc, char** argv) {
 
   std::cout << "chaos_sim: " << runs << " runs, " << total_injections
             << " faults injected, " << total_audits << " audits, " << failures
-            << " violations"
-            << (kFaultInjectionEnabled ? "" : " [fault injection compiled out]")
-            << "\n";
+            << " violations\n";
   return failures == 0 ? 0 : 1;
 }

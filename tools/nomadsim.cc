@@ -12,14 +12,14 @@
 //   --platform=A|B|C|D   [A]      testbed from Table 1
 //   --policy=...         [all]    no-migration|tpp|memtis-default|
 //                                 memtis-quickcool|nomad
-//   --scale=N            [64]     size divisor vs the paper's GB
+//   --scale=N            [64]     size divisor vs the paper's GB (> 0)
 //   --rss_gb --wss_gb --wss_fast_gb --kernel_gb    layout (paper GB); the
 //                                 WSS must give every shard >= 1 page
 //   --placement=freq|random [random]
 //   --write_fraction=F   [0]
 //   --ops=N              [2000000]
 //   --threads=N          [2]      legacy mode: simulated app threads;
-//                                 sharded mode: OS worker threads
+//                                 sharded mode: OS worker threads (> 0)
 //   --seed=N             [42]
 //   --governor           [off]    enable the sec. 5 thrash governor (nomad)
 //   --counters           [off]    dump raw event counters after each run
@@ -41,7 +41,7 @@
 //                                 --shards=1 is the legacy run itself: its
 //                                 metrics equal those of --shards=0 with
 //                                 --threads=<app_threads>.
-//   --app_threads=N      [2]      simulated app threads per shard
+//   --app_threads=N      [2]      simulated app threads per shard (> 0)
 //   --epoch=CYCLES       [500000] virtual-time barrier interval (> 0)
 #include <algorithm>
 #include <iostream>
@@ -55,11 +55,20 @@ using namespace nomad;
 
 namespace {
 
-PlatformId ParsePlatform(const std::string& s) {
-  if (s == "B") return PlatformId::kB;
-  if (s == "C") return PlatformId::kC;
-  if (s == "D") return PlatformId::kD;
-  return PlatformId::kA;
+bool ParsePlatform(const std::string& s, PlatformId* out) {
+  for (PlatformId id : {PlatformId::kA, PlatformId::kB, PlatformId::kC, PlatformId::kD}) {
+    if (s == PlatformName(id)) {
+      *out = id;
+      return true;
+    }
+  }
+  return false;
+}
+
+// A bad flag value: prints the usage line and returns the exit status.
+int Usage(const std::string& flags, const std::string& why) {
+  std::cerr << "usage: nomadsim " << flags << ": " << why << "\n";
+  return 2;
 }
 
 bool ParsePolicy(const std::string& s, PolicyKind* out) {
@@ -80,14 +89,13 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
 
   MicroRunConfig cfg;
-  cfg.platform = ParsePlatform(flags.GetString("platform", "A"));
+  const std::string platform_arg = flags.GetString("platform", "A");
   cfg.scale_denom = flags.GetUint("scale", 64);
   cfg.rss_gb = flags.GetDouble("rss_gb", 27.0);
   cfg.wss_gb = flags.GetDouble("wss_gb", 13.5);
   cfg.wss_fast_gb = flags.GetDouble("wss_fast_gb", 2.5);
   cfg.kernel_gb = flags.GetDouble("kernel_gb", 3.5);
-  cfg.placement = flags.GetString("placement", "random") == "freq" ? Placement::kFrequencyOpt
-                                                                   : Placement::kRandom;
+  const std::string placement_arg = flags.GetString("placement", "random");
   cfg.write_fraction = flags.GetDouble("write_fraction", 0.0);
   cfg.total_ops = flags.GetUint("ops", 2000000);
   cfg.threads = static_cast<int>(flags.GetUint("threads", 2));
@@ -114,16 +122,32 @@ int main(int argc, char** argv) {
     std::cerr << "\n";
     return 2;
   }
+  if (!ParsePlatform(platform_arg, &cfg.platform)) {
+    return Usage("[--platform=A|B|C|D]", "unknown platform '" + platform_arg + "'");
+  }
+  if (placement_arg != "freq" && placement_arg != "random") {
+    return Usage("[--placement=freq|random]", "unknown placement '" + placement_arg + "'");
+  }
+  cfg.placement = placement_arg == "freq" ? Placement::kFrequencyOpt : Placement::kRandom;
+  if (cfg.scale_denom == 0) {
+    return Usage("[--scale=N]", "--scale must be > 0");
+  }
+  // Legacy mode simulates --threads app threads, and zero would never
+  // finish; sharded mode runs on that many worker threads.
+  if (cfg.threads == 0) {
+    return Usage("[--threads=N]", "--threads must be > 0");
+  }
+  if (shards > 0 && app_threads == 0) {
+    return Usage("[--shards=N] [--app_threads=N]", "--app_threads must be > 0");
+  }
   if (epoch_cycles == 0) {
-    std::cerr << "usage: nomadsim [--shards=N] [--epoch=CYCLES]: --epoch must be > 0\n";
-    return 2;
+    return Usage("[--shards=N] [--epoch=CYCLES]", "--epoch must be > 0");
   }
   // Each shard samples its own WSS pages; a shard with none has nothing to
   // draw from.
   if (Scale{cfg.scale_denom}.Pages(cfg.wss_gb / std::max<uint32_t>(shards, 1)) == 0) {
-    std::cerr << "usage: nomadsim [--wss_gb=GB] [--scale=N] [--shards=N]: every shard needs at "
-                 "least one WSS page\n";
-    return 2;
+    return Usage("[--wss_gb=GB] [--scale=N] [--shards=N]",
+                 "every shard needs at least one WSS page");
   }
 
   std::vector<PolicyKind> policies;
@@ -162,7 +186,7 @@ int main(int argc, char** argv) {
       scfg.base.policy = kind;
       scfg.base.threads = static_cast<int>(app_threads);
       scfg.shards = shards;
-      scfg.exec_threads = static_cast<uint32_t>(std::max(1, cfg.threads));
+      scfg.exec_threads = static_cast<uint32_t>(cfg.threads);
       scfg.epoch_cycles = epoch_cycles;
       const ShardedRunResult r = RunShardedMicro(scfg, &collector);
       uint64_t promos = 0, demos = 0, aborts = 0;
