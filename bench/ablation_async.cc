@@ -2,52 +2,10 @@
 // with kpromote forced onto the synchronous unmap-copy-remap path.
 // Isolates the contribution of TPM (sec. 3.1) from the rest of NOMAD.
 #include <iostream>
-#include <memory>
 
 #include "bench/bench_common.h"
 
 using namespace nomad;
-
-namespace {
-
-MicroRunResult RunVariant(bool transactional, double write_fraction) {
-  const Scale scale{64};
-  const PlatformSpec platform = MakePlatform(PlatformId::kA, scale);
-
-  NomadPolicy::Config pcfg;
-  pcfg.kpromote.transactional = transactional;
-  auto policy = std::make_unique<NomadPolicy>(pcfg);
-
-  Sim sim(platform, std::move(policy), PolicyKind::kNomad, scale.Pages(27.0) + 16);
-  MicroLayout layout;
-  layout.rss_pages = scale.Pages(27.0);
-  layout.wss_pages = scale.Pages(13.5);
-  layout.wss_fast_pages = scale.Pages(2.5);
-  layout.kernel_pages = scale.Pages(3.5);
-  ScrambledZipfian zipf(layout.wss_pages, 0.99, 42);
-  const Vpn wss_start = SetupMicroLayout(sim, layout, zipf);
-
-  std::vector<std::unique_ptr<MicroWorkload>> apps;
-  for (int t = 0; t < 2; t++) {
-    MicroWorkload::Config wcfg;
-    wcfg.base.total_ops = 1200000;
-    wcfg.base.seed = 1042 + t;
-    wcfg.wss_start = wss_start;
-    wcfg.wss_pages = layout.wss_pages;
-    wcfg.write_fraction = write_fraction;
-    apps.push_back(std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), &zipf, wcfg));
-    sim.AddWorkload(apps.back().get());
-  }
-  sim.Run();
-  MicroRunResult r;
-  r.report = Analyze(sim);
-  r.counters = sim.ms().counters();
-  r.tpm_commits = sim.nomad()->tpm_stats().commits;
-  r.tpm_aborts = sim.nomad()->tpm_stats().aborts;
-  return r;
-}
-
-}  // namespace
 
 int main() {
   PrintHeader("Ablation",
@@ -56,25 +14,22 @@ int main() {
 
   TablePrinter t({"variant", "workload", "transient GB/s", "stable GB/s",
                   "migration blocks"});
+  auto add_row = [&t](const char* variant, const char* wl, const MicroRunResult& r) {
+    t.AddRow({variant, wl, Fmt(r.report.transient_gbps), Fmt(r.report.stable_gbps),
+              FmtCount(r.counters.Get("fault.migration_block"))});
+  };
   for (double wf : {0.0, 1.0}) {
     const char* wl = wf > 0 ? "write" : "read";
-    const MicroRunResult tpm = RunVariant(true, wf);
-    const MicroRunResult sync = RunVariant(false, wf);
+    MicroRunConfig cfg = MediumWssConfig(PlatformId::kA, PolicyKind::kNomad);
+    cfg.placement = Placement::kFrequencyOpt;
+    cfg.write_fraction = wf;
+    add_row("NOMAD, TPM (async + transactional)", wl, RunMicroBench(cfg));
+    cfg.nomad.kpromote.transactional = false;
+    add_row("NOMAD, locking copy (async only)", wl, RunMicroBench(cfg));
     // TPP = synchronous migration ON the faulting thread (the critical
     // path), for reference.
-    MicroRunConfig tcfg = MediumWssConfig(PlatformId::kA, PolicyKind::kTpp);
-    tcfg.write_fraction = wf;
-    tcfg.total_ops = 2400000;
-    const MicroRunResult tpp = RunMicroBench(tcfg);
-    t.AddRow({"NOMAD, TPM (async + transactional)", wl, Fmt(tpm.report.transient_gbps),
-              Fmt(tpm.report.stable_gbps),
-              FmtCount(tpm.counters.Get("fault.migration_block"))});
-    t.AddRow({"NOMAD, locking copy (async only)", wl, Fmt(sync.report.transient_gbps),
-              Fmt(sync.report.stable_gbps),
-              FmtCount(sync.counters.Get("fault.migration_block"))});
-    t.AddRow({"TPP (sync, on the critical path)", wl, Fmt(tpp.report.transient_gbps),
-              Fmt(tpp.report.stable_gbps),
-              FmtCount(tpp.counters.Get("fault.migration_block"))});
+    cfg.policy = PolicyKind::kTpp;
+    add_row("TPP (sync, on the critical path)", wl, RunMicroBench(cfg));
   }
   t.Print(std::cout);
   std::cout << "\nExpected shape: moving migration OFF the critical path (either NOMAD\n"

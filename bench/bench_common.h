@@ -1,7 +1,10 @@
 // Shared infrastructure for the figure/table reproduction binaries: the
 // paper's provisioning presets, the policies each platform runs and the
 // standard header. Every bench runs its simulations through the runner in
-// src/harness/sharded_sim.h and prints the rows/series the paper reports.
+// src/harness/sharded_sim.h and prints the rows/series the paper reports,
+// except fig10_pointer_chase and table3_shadow_reclaim: their workloads
+// (pointer chase, sequential scan) have no run entry point, so they build
+// a Sim directly.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 

@@ -10,8 +10,6 @@
 // metrics recorded for scripts/check_bench_regression.py (baseline
 // bench/baselines/bench_overload.json, 20% threshold).
 #include <iostream>
-#include <memory>
-#include <string>
 
 #include "bench/bench_common.h"
 
@@ -20,83 +18,40 @@ using namespace nomad;
 namespace {
 
 constexpr uint64_t kScaleDenom = 64;
-constexpr uint64_t kTotalOps = 1500000;
 
-struct VariantResult {
-  PhaseReport report;
-  uint64_t pages_migrated = 0;   // TPM commits
-  uint64_t sync_migrations = 0;  // abort-storm downgrades taking the sync path
-  uint64_t pending_hwm = 0;
-  uint64_t pcq_hwm = 0;
-  uint64_t admit_rejects = 0;
-  uint64_t admit_defers = 0;
-  uint64_t admit_downgrades = 0;
-};
-
-// The fast tier shrinks to half the working set: promotion can never
-// settle, so kpromote stays saturated for the whole run.
-PlatformSpec ThrashPlatform(const Scale& scale) {
-  PlatformSpec p = MakePlatform(PlatformId::kA, scale);
-  p.tiers[0].capacity_bytes = scale.Pages(4.0) * kPageSize;
-  return p;
-}
-
-VariantResult RunVariant(bool admission, MetricsCollector* collector) {
-  const Scale scale{kScaleDenom};
-  NomadPolicy::Config pcfg;
-  pcfg.enable_admission = admission;
+MicroRunResult RunVariant(bool admission, MetricsCollector* collector) {
+  MicroRunConfig cfg;
+  cfg.scale_denom = kScaleDenom;
+  // The fast tier shrinks to half the working set: promotion can never
+  // settle, so kpromote stays saturated for the whole run.
+  cfg.fast_gb = 4.0;
+  cfg.rss_gb = 12.0;
+  cfg.wss_gb = 8.0;
+  cfg.wss_fast_gb = 1.0;
+  cfg.kernel_gb = 1.0;
+  cfg.placement = Placement::kRandom;
+  // Theta 0.8: flat enough that the "hot" set never fits, so promotions
+  // keep displacing each other (the overload the admission plane is for).
+  cfg.zipf_theta = 0.8;
+  cfg.write_fraction = 0.3;
+  cfg.threads = 1;
+  cfg.total_ops = 1500000;
+  cfg.nomad.enable_admission = admission;
   if (admission) {
     // A deliberately tight budget: the bucket sustains far fewer
     // promotions than the thrash offers, the backlog cap keeps the
     // pending queue shallow, and storming pages fall back to sync
     // migration instead of aborting over and over.
-    pcfg.admission.promote_cycles_per_page = 60000;
-    pcfg.admission.promote_burst_pages = 16;
-    pcfg.admission.demote_cycles_per_page = 30000;
-    pcfg.admission.demote_burst_pages = 16;
-    pcfg.admission.max_pending_backlog = 32;
-    pcfg.admission.downgrade_abort_threshold = 3;
-    pcfg.admission.downgrade_decay = 4000000;
+    AdmissionController::Config& ac = cfg.nomad.admission;
+    ac.promote_cycles_per_page = 60000;
+    ac.promote_burst_pages = 16;
+    ac.demote_cycles_per_page = 30000;
+    ac.demote_burst_pages = 16;
+    ac.max_pending_backlog = 32;
+    ac.downgrade_abort_threshold = 3;
+    ac.downgrade_decay = 4000000;
   }
-  auto policy = std::make_unique<NomadPolicy>(pcfg);
-
-  Sim sim(ThrashPlatform(scale), std::move(policy), PolicyKind::kNomad,
-          scale.Pages(14.0) + 16);
-  MicroLayout layout;
-  layout.rss_pages = scale.Pages(12.0);
-  layout.wss_pages = scale.Pages(8.0);
-  layout.wss_fast_pages = scale.Pages(1.0);
-  layout.kernel_pages = scale.Pages(1.0);
-  layout.placement = Placement::kRandom;
-  // Theta 0.8: flat enough that the "hot" set never fits, so promotions
-  // keep displacing each other (the overload the admission plane is for).
-  ScrambledZipfian zipf(layout.wss_pages, 0.8, 42);
-  const Vpn wss_start = SetupMicroLayout(sim, layout, zipf);
-
-  MicroWorkload::Config wcfg;
-  wcfg.base.total_ops = kTotalOps;
-  wcfg.wss_start = wss_start;
-  wcfg.wss_pages = layout.wss_pages;
-  wcfg.write_fraction = 0.3;
-  MicroWorkload app(&sim.ms(), &sim.as(), &zipf, wcfg);
-  sim.AddWorkload(&app);
-  sim.Run();
-
-  VariantResult v;
-  v.report = Analyze(sim);
-  v.pages_migrated = sim.nomad()->tpm_stats().commits;
-  v.sync_migrations = sim.ms().counters().Get(cnt::kNomadDegradedSyncMigration);
-  v.pending_hwm = sim.nomad()->queues().pending_hwm();
-  v.pcq_hwm = sim.nomad()->queues().pcq_hwm();
-  if (const AdmissionController* ac = sim.nomad()->admission()) {
-    v.admit_rejects = ac->stats().rejects;
-    v.admit_defers = ac->stats().defers;
-    v.admit_downgrades = ac->stats().downgrades;
-  }
-  if (collector != nullptr) {
-    collector->Capture(admission ? "admission-on" : "admission-off", sim, v.report);
-  }
-  return v;
+  return RunMicroBench(cfg, collector, admission ? "admission-on" : "admission-off");
 }
 
 }  // namespace
@@ -111,20 +66,25 @@ int main(int argc, char** argv) {
   PrintHeader("Overload", "admission control under a thrashing working set",
               PlatformId::kA, kScaleDenom);
 
-  const VariantResult off = RunVariant(false, &collector);
-  const VariantResult on = RunVariant(true, &collector);
+  const MicroRunResult off = RunVariant(false, &collector);
+  const MicroRunResult on = RunVariant(true, &collector);
 
   TablePrinter t({"variant", "stable GB/s", "p99 (cyc)", "pages migrated", "sync migr",
                   "pending hwm", "pcq hwm"});
-  t.AddRow({"admission off", Fmt(off.report.stable_gbps), FmtCount(static_cast<uint64_t>(off.report.p99_latency_cycles)),
-            FmtCount(off.pages_migrated), FmtCount(off.sync_migrations),
-            FmtCount(off.pending_hwm), FmtCount(off.pcq_hwm)});
-  t.AddRow({"admission on", Fmt(on.report.stable_gbps), FmtCount(static_cast<uint64_t>(on.report.p99_latency_cycles)),
-            FmtCount(on.pages_migrated), FmtCount(on.sync_migrations), FmtCount(on.pending_hwm),
-            FmtCount(on.pcq_hwm)});
+  auto add_row = [&t](const char* variant, const MicroRunResult& r) {
+    t.AddRow({variant, Fmt(r.report.stable_gbps),
+              FmtCount(static_cast<uint64_t>(r.report.p99_latency_cycles)),
+              FmtCount(r.tpm_commits), FmtCount(r.counters.Get(cnt::kNomadDegradedSyncMigration)),
+              FmtCount(r.pending_hwm), FmtCount(r.pcq_hwm)});
+  };
+  add_row("admission off", off);
+  add_row("admission on", on);
   t.Print(std::cout);
-  std::cout << "\nadmission-on verdicts: rejects=" << on.admit_rejects
-            << " defers=" << on.admit_defers << " downgrades=" << on.admit_downgrades << "\n";
+  // AdmissionController::RecordVerdict keeps these counters equal to the
+  // controller's own stats.
+  std::cout << "\nadmission-on verdicts: rejects=" << on.counters.Get(cnt::kAdmissionReject)
+            << " defers=" << on.counters.Get(cnt::kAdmissionDefer)
+            << " downgrades=" << on.counters.Get(cnt::kAdmissionDowngradeSync) << "\n";
   std::cout << "Expected shape: admission-on migrates a fraction of the pages, keeps\n"
                "the pending queue at its cap (bounded hwm), and converts the saved\n"
                "migration bandwidth into lower demand-traffic tail latency.\n";
@@ -142,9 +102,9 @@ int main(int argc, char** argv) {
               << " exceeds the backlog cap\n";
     ok = false;
   }
-  if (on.pages_migrated >= off.pages_migrated) {
-    std::cout << "FAIL: admission-on migrated no fewer pages (" << on.pages_migrated << " vs "
-              << off.pages_migrated << ")\n";
+  if (on.tpm_commits >= off.tpm_commits) {
+    std::cout << "FAIL: admission-on migrated no fewer pages (" << on.tpm_commits << " vs "
+              << off.tpm_commits << ")\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -21,7 +21,6 @@ for b in build/bench/*; do
   name="$(basename "$b")"
   echo "##### $name"
   case "$name" in
-    micro_ops) "$b" --benchmark_min_time=0.2 ;;
     ablation_pcq | ablation_shadowing | fig01_tpp_motivation | fig10_pointer_chase | \
       fig11_redis_ycsb | table2_migration_counts | table4_tpm_success)
       "$b" --metrics_out="artifacts/$name.json" --profile_out="artifacts/$name.folded" ;;

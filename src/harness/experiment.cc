@@ -25,7 +25,7 @@ const char* PolicyKindName(PolicyKind kind) {
   return "?";
 }
 
-std::unique_ptr<TieringPolicy> MakePolicy(PolicyKind kind) {
+std::unique_ptr<TieringPolicy> MakePolicy(PolicyKind kind, const NomadPolicy::Config& nomad) {
   switch (kind) {
     case PolicyKind::kNoMigration:
       return std::make_unique<NoMigrationPolicy>();
@@ -36,7 +36,7 @@ std::unique_ptr<TieringPolicy> MakePolicy(PolicyKind kind) {
     case PolicyKind::kMemtisQuickCool:
       return std::make_unique<MemtisPolicy>(MemtisPolicy::QuickCoolVariant());
     case PolicyKind::kNomad:
-      return std::make_unique<NomadPolicy>();
+      return std::make_unique<NomadPolicy>(nomad);
   }
   return nullptr;
 }
@@ -48,16 +48,13 @@ bool PolicySupported(PolicyKind kind, const PlatformSpec& platform) {
   return true;
 }
 
-Sim::Sim(const PlatformSpec& platform, PolicyKind kind, uint64_t as_pages)
-    : Sim(platform, MakePolicy(kind), kind, as_pages) {}
-
-Sim::Sim(const PlatformSpec& platform, std::unique_ptr<TieringPolicy> policy, PolicyKind kind,
-         uint64_t as_pages)
+Sim::Sim(const PlatformSpec& platform, PolicyKind kind, uint64_t as_pages,
+         const NomadPolicy::Config& nomad)
     : platform_(platform),
       kind_(kind),
       ms_(platform, &engine_),
       as_(as_pages),
-      policy_(std::move(policy)) {
+      policy_(MakePolicy(kind, nomad)) {
   policy_->Install(ms_, engine_);
 }
 
@@ -326,24 +323,6 @@ void AppendRunMetrics(JsonWriter& jw, Sim& sim, const PhaseReport& report,
               << " of " << ms.trace().total_emitted() << " events (raise TraceSink capacity or "
               << "shorten the run for complete traces)\n";
   }
-}
-
-bool WriteMetricsFile(Sim& sim, const PhaseReport& report, const std::string& label,
-                      const std::string& bench_id, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  JsonWriter jw(out);
-  jw.BeginObject();
-  jw.Field("schema", std::string_view("nomad-metrics-v1"));
-  jw.Field("benchmark", std::string_view(bench_id));
-  jw.Key("runs").BeginArray();
-  AppendRunMetrics(jw, sim, report, label);
-  jw.EndArray();
-  jw.EndObject();
-  out << "\n";
-  return out.good();
 }
 
 bool WriteTraceFile(Sim& sim, const std::string& path) {

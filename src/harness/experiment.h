@@ -31,7 +31,8 @@ enum class PolicyKind {
 };
 
 const char* PolicyKindName(PolicyKind kind);
-std::unique_ptr<TieringPolicy> MakePolicy(PolicyKind kind);
+// `nomad` configures the policy when `kind` is kNomad; other kinds ignore it.
+std::unique_ptr<TieringPolicy> MakePolicy(PolicyKind kind, const NomadPolicy::Config& nomad = {});
 
 // True when the policy can run on the platform (Memtis needs PEBS/IBS).
 bool PolicySupported(PolicyKind kind, const PlatformSpec& platform);
@@ -39,11 +40,9 @@ bool PolicySupported(PolicyKind kind, const PlatformSpec& platform);
 // A fully wired simulation instance.
 class NOMAD_SHARD_CONFINED Sim {
  public:
-  Sim(const PlatformSpec& platform, PolicyKind kind, uint64_t as_pages);
-  // Custom-policy variant (ablation benches build hand-configured
-  // NomadPolicy instances). `kind` is only used for reporting.
-  Sim(const PlatformSpec& platform, std::unique_ptr<TieringPolicy> policy, PolicyKind kind,
-      uint64_t as_pages);
+  // Installs MakePolicy(kind, nomad).
+  Sim(const PlatformSpec& platform, PolicyKind kind, uint64_t as_pages,
+      const NomadPolicy::Config& nomad = {});
 
   Engine& engine() { return engine_; }
   MemorySystem& ms() { return ms_; }
@@ -157,11 +156,6 @@ PhaseReport Analyze(const Sim& sim);
 // trace summary.
 void AppendRunMetrics(JsonWriter& jw, Sim& sim, const PhaseReport& report,
                       const std::string& label);
-
-// Writes a complete metrics.json document holding a single run. Returns
-// false when the file cannot be opened.
-bool WriteMetricsFile(Sim& sim, const PhaseReport& report, const std::string& label,
-                      const std::string& bench_id, const std::string& path);
 
 // Writes the run's event trace as a chrome://tracing JSON document.
 bool WriteTraceFile(Sim& sim, const std::string& path);

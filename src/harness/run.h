@@ -83,10 +83,12 @@ struct MicroRunConfig {
   int threads = 2;
   uint64_t seed = 42;
   unsigned batch = 8;  // accesses per engine step (WorkloadActor batching)
+  double zipf_theta = 0.99;  // skew of the Zipfian key distribution
+  // The NOMAD policy's settings; ignored unless policy is kNomad.
+  NomadPolicy::Config nomad;
   // Time-resolved telemetry (src/obs/timeline.h): sampling cadence in
   // virtual cycles, 0 = off. Off by default — goldens are timeline-free.
   Cycles timeline_interval = 0;
-  size_t timeline_capacity = 4096;
   // Migration-lifecycle span records (mig_* trace events, trace_query
   // --span input). Off by default for the same golden-stability reason.
   bool enable_spans = false;
@@ -149,7 +151,6 @@ struct YcsbRunConfig {
   uint64_t seed = 42;
   // Telemetry timeline / migration spans, as in MicroRunConfig.
   Cycles timeline_interval = 0;
-  size_t timeline_capacity = 4096;
   bool enable_spans = false;
 };
 

@@ -215,6 +215,9 @@ Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
   return ctrl;
 }
 
+// Samples a shard's timeline keeps; older samples are overwritten.
+constexpr size_t kTimelineCapacity = 4096;
+
 // The settings every run shares, whatever its workload. The default is a
 // one-shard run without timeline, spans, faults or instruments.
 struct Plan {
@@ -224,7 +227,6 @@ struct Plan {
   uint64_t max_epochs = 0;
   uint64_t watchdog_stall_epochs = 0;
   Cycles timeline_interval = 0;
-  size_t timeline_capacity = 0;
   bool enable_spans = false;
   // Trace ring, profiler, histograms and provenance (see Instrumented).
   bool instruments = false;
@@ -253,7 +255,6 @@ Plan PlanOf(const ShardedConfig& cfg, const MetricsCollector* collector) {
   plan.epoch_cycles = cfg.epoch_cycles;
   plan.max_epochs = cfg.max_epochs;
   plan.timeline_interval = cfg.base.timeline_interval;
-  plan.timeline_capacity = cfg.base.timeline_capacity;
   plan.enable_spans = cfg.base.enable_spans;
   plan.instruments = Instrumented(plan, collector);
   return plan;
@@ -290,8 +291,8 @@ struct NOMAD_SHARD_CONFINED Shard {
 // on the worker thread that owns shard s, so plan.fault_factory is called
 // from several threads.
 Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, PolicyKind policy,
-              uint64_t as_pages, Shard& sh) {
-  sh.sim = std::make_unique<Sim>(platform, policy, as_pages);
+              uint64_t as_pages, Shard& sh, const NomadPolicy::Config& nomad = {}) {
+  sh.sim = std::make_unique<Sim>(platform, policy, as_pages, nomad);
   Sim& sim = *sh.sim;
   // Set before the shard's first step and never changed after, so every
   // profiler span opens and closes under the same setting.
@@ -304,10 +305,10 @@ Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, Policy
   }
   if (plan.timeline_interval > 0) {
     if (plan.shards == 1) {
-      sim.EnableTimeline({plan.timeline_interval, plan.timeline_capacity});
+      sim.EnableTimeline({plan.timeline_interval, kTimelineCapacity});
     } else {
       // The epoch loop samples instead of an engine actor (see RunShards).
-      sim.EnableTimeline({SampleEpochs(plan) * plan.epoch_cycles, plan.timeline_capacity},
+      sim.EnableTimeline({SampleEpochs(plan) * plan.epoch_cycles, kTimelineCapacity},
                          /*engine_driven=*/false);
     }
   }
@@ -472,7 +473,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
     sh.total_ops = c.total_ops;
     const Scale scale = ScaleOf(c.scale_denom);
     Sim& sim = BuildSim(plan, s, MakePlatform(c.platform, scale, c.fast_gb, c.slow_gb),
-                        c.policy, scale.Pages(c.rss_gb) + 16, sh);
+                        c.policy, scale.Pages(c.rss_gb) + 16, sh, c.nomad);
     MicroLayout layout;
     layout.rss_pages = scale.Pages(c.rss_gb);
     layout.wss_pages = scale.Pages(c.wss_gb);
@@ -480,7 +481,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
     layout.kernel_pages = scale.Pages(c.kernel_gb);
     layout.placement = c.placement;
     layout.seed = c.seed;
-    sh.zipf = std::make_unique<ScrambledZipfian>(layout.wss_pages, 0.99, c.seed);
+    sh.zipf = std::make_unique<ScrambledZipfian>(layout.wss_pages, c.zipf_theta, c.seed);
     const Vpn wss_start = SetupMicroLayout(sim, layout, *sh.zipf);
     for (int t = 0; t < c.threads; t++) {
       MicroWorkload::Config wcfg;

@@ -18,7 +18,6 @@ class MicroWorkload : public WorkloadActor {
     Vpn wss_start = 0;          // first VPN of the working set
     uint64_t wss_pages = 0;
     double write_fraction = 0;  // 0 = read benchmark, 1 = write benchmark
-    double zipf_theta = 0.99;
   };
 
   // `zipf` is shared between threads of the same benchmark (same hotness

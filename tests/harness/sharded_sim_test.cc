@@ -82,21 +82,40 @@ TEST(ShardedSimTest, ShardCountChangesPartitionButRunsClean) {
   }
 }
 
-TEST(ShardedSimTest, BatchReachesEveryShard) {
-  // MicroRunConfig::batch (accesses per engine step) must reach every
-  // shard's workload actors, not only a one-shard run's.
-  ShardedRunConfig cfg = SmallConfig(PolicyKind::kNomad);
-  cfg.shards = 2;
-  const ShardedRunResult k8 = RunShardedMicro(cfg);
-  cfg.base.batch = 1;
-  const ShardedRunResult k1 = RunShardedMicro(cfg);
-  ASSERT_EQ(k1.per_shard.size(), k8.per_shard.size());
-  std::string counters_k1, counters_k8;
-  for (size_t s = 0; s < k1.per_shard.size(); s++) {
-    counters_k1 += k1.per_shard[s].counters.ToString();
-    counters_k8 += k8.per_shard[s].counters.ToString();
+TEST(ShardedSimTest, RunConfigReachesEveryShard) {
+  // MicroRunConfig's batch (accesses per engine step), Zipf skew and NOMAD
+  // policy settings must reach every shard's workload actors and policy,
+  // not only a one-shard run's.
+  for (uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE(shards);
+    ShardedRunConfig cfg = SmallConfig(PolicyKind::kNomad);
+    cfg.shards = shards;
+    const ShardedRunResult base = RunShardedMicro(cfg);
+    ASSERT_EQ(base.per_shard.size(), shards);
+    auto expect_every_shard_changed = [&](const ShardedRunConfig& variant) {
+      const ShardedRunResult r = RunShardedMicro(variant);
+      ASSERT_EQ(r.per_shard.size(), shards);
+      for (uint32_t s = 0; s < shards; s++) {
+        EXPECT_NE(r.per_shard[s].counters.ToString(), base.per_shard[s].counters.ToString())
+            << "shard " << s;
+      }
+    };
+    ShardedRunConfig k1 = cfg;
+    k1.base.batch = 1;
+    expect_every_shard_changed(k1);
+    ShardedRunConfig flat = cfg;
+    flat.base.zipf_theta = 0.8;
+    expect_every_shard_changed(flat);
+
+    ShardedRunConfig admitted = cfg;
+    admitted.base.nomad.enable_admission = true;
+    const ShardedRunResult a = RunShardedMicro(admitted);
+    ASSERT_EQ(a.per_shard.size(), shards);
+    for (uint32_t s = 0; s < shards; s++) {
+      EXPECT_EQ(base.per_shard[s].counters.Get(cnt::kAdmissionAccept), 0u) << "shard " << s;
+      EXPECT_GT(a.per_shard[s].counters.Get(cnt::kAdmissionAccept), 0u) << "shard " << s;
+    }
   }
-  EXPECT_NE(counters_k1, counters_k8);
 }
 
 TEST(ShardedSimTest, OneShardIsTheClassicRun) {

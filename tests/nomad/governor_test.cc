@@ -129,7 +129,7 @@ TEST(GovernorIntegrationTest, ThrottlesUnderLargeWss) {
     pcfg.enable_governor = governed;
     pcfg.governor.period = 500000;
     pcfg.governor.min_promotions = 8;  // scaled-down run: low absolute rates
-    Sim sim(platform, std::make_unique<NomadPolicy>(pcfg), PolicyKind::kNomad, 20000);
+    Sim sim(platform, PolicyKind::kNomad, 20000, pcfg);
     MicroLayout layout;
     layout.rss_pages = scale.Pages(27.0);
     layout.wss_pages = scale.Pages(27.0);

@@ -244,7 +244,7 @@ RunResult RunOne(uint64_t seed, const std::string& workload, uint64_t ops,
     cfg.wss_start = 0;
     cfg.wss_pages = kRegionPages;
     cfg.write_fraction = UnitDouble(rng) * 0.5;
-    zipf = std::make_unique<ScrambledZipfian>(kRegionPages, cfg.zipf_theta, seed);
+    zipf = std::make_unique<ScrambledZipfian>(kRegionPages, 0.99, seed);
     actor = std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), zipf.get(), cfg);
   } else if (workload == "chase") {
     PointerChaseWorkload::Config cfg;

@@ -45,7 +45,7 @@
 //   --epoch=CYCLES       [500000] virtual-time barrier interval (> 0)
 #include <algorithm>
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "src/harness/flags.h"
@@ -162,11 +162,13 @@ int main(int argc, char** argv) {
     policies = PoliciesFor(cfg.platform, /*include_no_migration=*/true);
   }
 
+  cfg.nomad.enable_governor = governor;
+  // The governed NOMAD run is labelled apart from the plain one.
+  auto label = [governor](PolicyKind kind) -> std::string {
+    return governor && kind == PolicyKind::kNomad ? "nomad+governor" : PolicyKindName(kind);
+  };
+
   if (shards > 0) {
-    if (governor) {
-      std::cerr << "--governor is not supported in sharded mode\n";
-      return 2;
-    }
     PrintHeader("nomadsim", "sharded parallel micro-benchmark run", cfg.platform,
                 cfg.scale_denom);
     std::cout << "RSS " << cfg.rss_gb << " GB, WSS " << cfg.wss_gb << " GB ("
@@ -188,14 +190,14 @@ int main(int argc, char** argv) {
       scfg.shards = shards;
       scfg.exec_threads = static_cast<uint32_t>(cfg.threads);
       scfg.epoch_cycles = epoch_cycles;
-      const ShardedRunResult r = RunShardedMicro(scfg, &collector);
+      const ShardedRunResult r = RunShardedMicro(scfg, &collector, label(kind));
       uint64_t promos = 0, demos = 0, aborts = 0;
       for (const MicroRunResult& shard : r.per_shard) {
         promos += Promotions(shard.counters);
         demos += Demotions(shard.counters);
         aborts += shard.tpm_aborts;
       }
-      st.AddRow({PolicyKindName(kind), Fmt(r.aggregate_gbps), FmtCount(r.total_ops),
+      st.AddRow({label(kind), Fmt(r.aggregate_gbps), FmtCount(r.total_ops),
                  FmtCount(r.epochs), FmtCount(r.messages), FmtCount(promos),
                  FmtCount(demos), FmtCount(aborts)});
       if (dump_counters) {
@@ -226,52 +228,8 @@ int main(int argc, char** argv) {
     }
     MicroRunConfig run_cfg = cfg;
     run_cfg.policy = kind;
-    MicroRunResult r;
-    if (kind == PolicyKind::kNomad && governor) {
-      // Hand-wire the governed variant through the custom-policy path.
-      const Scale scale{cfg.scale_denom};
-      const PlatformSpec platform =
-          MakePlatform(cfg.platform, scale, cfg.fast_gb, cfg.slow_gb);
-      NomadPolicy::Config pcfg;
-      pcfg.enable_governor = true;
-      Sim sim(platform, std::make_unique<NomadPolicy>(pcfg), kind,
-              scale.Pages(cfg.rss_gb) + 16);
-      if (spans) {
-        sim.ms().set_span_tracing(true);
-      }
-      if (cfg.timeline_interval > 0) {
-        sim.EnableTimeline({cfg.timeline_interval, cfg.timeline_capacity});
-      }
-      MicroLayout layout;
-      layout.rss_pages = scale.Pages(cfg.rss_gb);
-      layout.wss_pages = scale.Pages(cfg.wss_gb);
-      layout.wss_fast_pages = scale.Pages(cfg.wss_fast_gb);
-      layout.kernel_pages = scale.Pages(cfg.kernel_gb);
-      layout.placement = cfg.placement;
-      ScrambledZipfian zipf(layout.wss_pages, 0.99, cfg.seed);
-      const Vpn wss_start = SetupMicroLayout(sim, layout, zipf);
-      std::vector<std::unique_ptr<MicroWorkload>> apps;
-      for (int th = 0; th < cfg.threads; th++) {
-        MicroWorkload::Config wcfg;
-        wcfg.base.total_ops = cfg.total_ops / cfg.threads;
-        wcfg.base.seed = cfg.seed + 1000 + th;
-        wcfg.wss_start = wss_start;
-        wcfg.wss_pages = layout.wss_pages;
-        wcfg.write_fraction = cfg.write_fraction;
-        apps.push_back(std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), &zipf, wcfg));
-        sim.AddWorkload(apps.back().get());
-      }
-      sim.Run();
-      r.report = Analyze(sim);
-      r.counters = sim.ms().counters();
-      r.tpm_aborts = sim.nomad()->tpm_stats().aborts;
-      collector.Capture("nomad+governor", sim, r.report);
-    } else {
-      r = RunMicroBench(run_cfg, &collector);
-    }
-    t.AddRow({governor && kind == PolicyKind::kNomad ? "nomad+governor"
-                                                     : PolicyKindName(kind),
-              Fmt(r.report.transient_gbps), Fmt(r.report.stable_gbps),
+    const MicroRunResult r = RunMicroBench(run_cfg, &collector, label(kind));
+    t.AddRow({label(kind), Fmt(r.report.transient_gbps), Fmt(r.report.stable_gbps),
               Fmt(r.report.mean_latency_cycles, 0), Fmt(r.report.p99_latency_cycles, 0),
               FmtCount(Promotions(r.counters)), FmtCount(Demotions(r.counters)),
               FmtCount(r.tpm_aborts)});
