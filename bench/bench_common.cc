@@ -37,6 +37,16 @@ MicroRunConfig LargeWssConfig(PlatformId platform, PolicyKind policy) {
   return c;
 }
 
+MicroRunConfig ShadowReclaimConfig(double rss_gb, uint64_t seed) {
+  MicroRunConfig c = MediumWssConfig(PlatformId::kB, PolicyKind::kNomad);
+  c.rss_gb = rss_gb;
+  c.slow_gb = 14.7;
+  c.kernel_gb = 1.0;
+  c.placement = Placement::kFrequencyOpt;
+  c.seed = seed;
+  return c;
+}
+
 std::vector<PolicyKind> PoliciesFor(PlatformId platform, bool include_no_migration) {
   std::vector<PolicyKind> kinds;
   if (include_no_migration) {

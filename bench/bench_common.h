@@ -1,10 +1,8 @@
 // Shared infrastructure for the figure/table reproduction binaries: the
 // paper's provisioning presets, the policies each platform runs and the
 // standard header. Every bench runs its simulations through the runner in
-// src/harness/sharded_sim.h and prints the rows/series the paper reports,
-// except fig10_pointer_chase and table3_shadow_reclaim: their workloads
-// (pointer chase, sequential scan) have no run entry point, so they build
-// a Sim directly.
+// src/harness/sharded_sim.h and prints the rows/series the paper reports;
+// none builds a Sim itself.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
@@ -25,6 +23,11 @@ namespace nomad {
 MicroRunConfig SmallWssConfig(PlatformId platform, PolicyKind policy);
 MicroRunConfig MediumWssConfig(PlatformId platform, PolicyKind policy);
 MicroRunConfig LargeWssConfig(PlatformId platform, PolicyKind policy);
+
+// Table 3's NOMAD run at `rss_gb` of RSS: platform B's 16 GB DRAM plus
+// 14.7 GB CXL (30.7 GB, as in the paper) with a 1 GB kernel reservation,
+// and the medium WSS under Frequency-opt placement.
+MicroRunConfig ShadowReclaimConfig(double rss_gb, uint64_t seed);
 
 // Policies evaluated on a platform (Memtis excluded where unsupported).
 std::vector<PolicyKind> PoliciesFor(PlatformId platform, bool include_no_migration = false);

@@ -315,17 +315,21 @@ void AppendRunMetrics(JsonWriter& jw, Sim& sim, const PhaseReport& report,
     t->timeline().AppendJson(jw);
   }
   jw.EndObject();
+}
 
+void WarnIfTraceDropped(Sim& sim) {
   // A trace that silently overflowed its ring buffer would make every
   // downstream pairing analysis (trace_query) quietly wrong; say so.
-  if (ms.trace().dropped() > 0) {
-    std::cerr << "warning: trace ring buffer overflowed; dropped " << ms.trace().dropped()
-              << " of " << ms.trace().total_emitted() << " events (raise TraceSink capacity or "
+  const TraceSink& trace = sim.ms().trace();
+  if (trace.dropped() > 0) {
+    std::cerr << "warning: trace ring buffer overflowed; dropped " << trace.dropped() << " of "
+              << trace.total_emitted() << " events (raise TraceSink capacity or "
               << "shorten the run for complete traces)\n";
   }
 }
 
 bool WriteTraceFile(Sim& sim, const std::string& path) {
+  WarnIfTraceDropped(sim);
   std::ofstream out(path);
   if (!out) {
     return false;

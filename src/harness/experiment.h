@@ -157,8 +157,13 @@ PhaseReport Analyze(const Sim& sim);
 void AppendRunMetrics(JsonWriter& jw, Sim& sim, const PhaseReport& report,
                       const std::string& label);
 
-// Writes the run's event trace as a chrome://tracing JSON document.
+// Writes the run's event trace as a chrome://tracing JSON document, which
+// records how many events the trace ring took and how many it dropped, and
+// warns on stderr when it dropped any.
 bool WriteTraceFile(Sim& sim, const std::string& path);
+
+// Warns on stderr when the run's trace ring dropped events.
+void WarnIfTraceDropped(Sim& sim);
 
 // Writes the run's cycle-attribution profile as collapsed-stack text
 // ("root;child cycles" per line), the input format of flamegraph tools.

@@ -27,6 +27,28 @@ std::string PathWithLabel(const std::string& path, const std::string& label) {
 
 }  // namespace
 
+const char* AccessPatternName(AccessPattern p) {
+  switch (p) {
+    case AccessPattern::kZipf:
+      return "zipf";
+    case AccessPattern::kPointerChase:
+      return "chase";
+    case AccessPattern::kSeqScan:
+      return "scan";
+  }
+  return "?";
+}
+
+bool AccessPatternFromName(const std::string& name, AccessPattern* out) {
+  for (AccessPattern p : kAccessPatterns) {
+    if (name == AccessPatternName(p)) {
+      *out = p;
+      return true;
+    }
+  }
+  return false;
+}
+
 MetricsCollector MetricsCollector::FromFlags(const std::string& bench_id, const Flags& flags) {
   return MetricsCollector(bench_id, flags.GetString("metrics_out", ""),
                           flags.GetString("trace_out", ""),
@@ -47,6 +69,10 @@ void MetricsCollector::Capture(const std::string& label, Sim& sim, const PhaseRe
     JsonWriter jw(os);
     AppendRunMetrics(jw, sim, report, label);
     run_json_.push_back(os.str());
+    if (trace_path_.empty()) {
+      // With a trace, WriteTraceFile warns below: once per run either way.
+      WarnIfTraceDropped(sim);
+    }
   }
   if (!trace_path_.empty()) {
     const std::string path =

@@ -66,7 +66,23 @@ class NOMAD_SHARD_CONFINED MetricsCollector {
   bool flushed_ = false;
 };
 
-// One micro-benchmark run (the Zipfian workload of sec. 4.1).
+// What the app threads of a micro run access over the WSS: Zipfian draws
+// (sec. 4.1), the block pointer chase of Fig. 10 over the WSS cut into 16
+// equal blocks, or a sequential sweep.
+enum class AccessPattern { kZipf, kPointerChase, kSeqScan };
+
+inline constexpr AccessPattern kAccessPatterns[] = {
+    AccessPattern::kZipf,
+    AccessPattern::kPointerChase,
+    AccessPattern::kSeqScan,
+};
+
+// Stable names ("zipf", "chase", "scan") and their reverse lookup, which
+// returns false for an unknown name.
+const char* AccessPatternName(AccessPattern p);
+bool AccessPatternFromName(const std::string& name, AccessPattern* out);
+
+// One micro-benchmark run (sec. 4.1).
 struct MicroRunConfig {
   PlatformId platform = PlatformId::kA;
   uint64_t scale_denom = 64;
@@ -83,7 +99,8 @@ struct MicroRunConfig {
   int threads = 2;
   uint64_t seed = 42;
   unsigned batch = 8;  // accesses per engine step (WorkloadActor batching)
-  double zipf_theta = 0.99;  // skew of the Zipfian key distribution
+  double zipf_theta = 0.99;  // skew of the Zipfian key (or chase block) choice
+  AccessPattern pattern = AccessPattern::kZipf;
   // The NOMAD policy's settings; ignored unless policy is kNomad.
   NomadPolicy::Config nomad;
   // Time-resolved telemetry (src/obs/timeline.h): sampling cadence in
@@ -103,7 +120,7 @@ struct MicroRunResult {
   uint64_t tpm_aborts = 0;
   uint64_t fast_used = 0;
   uint64_t slow_used = 0;
-  // Queue pressure (NOMAD runs; 0 otherwise). The chaos soak byte-compares
+  // Queue pressure (NOMAD runs; 0 otherwise). The chaos campaign byte-compares
   // these across thread counts as part of the recovery record.
   uint64_t pcq_hwm = 0;
   uint64_t pending_hwm = 0;
@@ -130,6 +147,7 @@ inline uint64_t Demotions(const CounterSet& c) {
 struct AppRunResult {
   double ops_per_sec = 0;   // application-level throughput
   double runtime_ms = 0;    // simulated milliseconds
+  double mean_latency_cycles = 0;  // per access
   uint64_t tpm_commits = 0;
   uint64_t tpm_aborts = 0;
   uint64_t promotions = 0;

@@ -12,6 +12,8 @@
 #include "src/workload/liblinear.h"
 #include "src/workload/micro.h"
 #include "src/workload/pagerank.h"
+#include "src/workload/pointer_chase.h"
+#include "src/workload/seq_scan.h"
 #include "src/workload/ycsb.h"
 
 namespace nomad {
@@ -230,7 +232,7 @@ struct Plan {
   bool enable_spans = false;
   // Trace ring, profiler, histograms and provenance (see Instrumented).
   bool instruments = false;
-  std::function<std::unique_ptr<FaultInjector>(uint32_t shard)> fault_factory;
+  std::function<void(uint32_t shard, Sim& sim)> shard_setup;
 };
 
 // The instruments are on when something reads them: an active collector
@@ -287,9 +289,9 @@ struct NOMAD_SHARD_CONFINED Shard {
 };
 
 // Builds shard s's machine with the wiring every run gets: its instruments
-// switch, the shard's own fault injector, span records and timeline. Runs
-// on the worker thread that owns shard s, so plan.fault_factory is called
-// from several threads.
+// switch, the run's set-up hook, span records and timeline. Runs on the
+// worker thread that owns shard s, so plan.shard_setup is called from
+// several threads.
 Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, PolicyKind policy,
               uint64_t as_pages, Shard& sh, const NomadPolicy::Config& nomad = {}) {
   sh.sim = std::make_unique<Sim>(platform, policy, as_pages, nomad);
@@ -297,8 +299,8 @@ Sim& BuildSim(const Plan& plan, uint32_t s, const PlatformSpec& platform, Policy
   // Set before the shard's first step and never changed after, so every
   // profiler span opens and closes under the same setting.
   sim.ms().set_instruments_enabled(plan.instruments);
-  if (plan.fault_factory) {
-    sim.ms().set_fault_injector(plan.fault_factory(s));
+  if (plan.shard_setup) {
+    plan.shard_setup(s, sim);
   }
   if (plan.enable_spans) {
     sim.ms().set_span_tracing(true);
@@ -332,6 +334,40 @@ Sim& BuildAppSim(const Plan& plan, uint32_t s, const AppConfig& c, Vpn end, bool
     DemoteAll(sim.ms(), sim.as());
   }
   return sim;
+}
+
+// One app thread of a micro run over the WSS [start, start + pages).
+std::unique_ptr<WorkloadActor> MakeMicroApp(const MicroRunConfig& c, Sim& sim,
+                                            const WorkloadActor::BaseConfig& base, Vpn start,
+                                            uint64_t pages, const ScrambledZipfian* zipf) {
+  switch (c.pattern) {
+    case AccessPattern::kZipf: {
+      MicroWorkload::Config w;
+      w.base = base;
+      w.wss_start = start;
+      w.wss_pages = pages;
+      w.write_fraction = c.write_fraction;
+      return std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), zipf, w);
+    }
+    case AccessPattern::kPointerChase: {
+      PointerChaseWorkload::Config w;
+      w.base = base;
+      w.region_start = start;
+      w.num_blocks = std::min<uint64_t>(pages, 16);
+      w.block_pages = pages / w.num_blocks;
+      w.zipf_theta = c.zipf_theta;
+      return std::make_unique<PointerChaseWorkload>(&sim.ms(), &sim.as(), w);
+    }
+    case AccessPattern::kSeqScan: {
+      SeqScanWorkload::Config w;
+      w.base = base;
+      w.region_start = start;
+      w.region_pages = pages;
+      w.write_fraction = c.write_fraction;
+      return std::make_unique<SeqScanWorkload>(&sim.ms(), &sim.as(), w);
+    }
+  }
+  return nullptr;
 }
 
 void AddApp(Shard& sh, std::unique_ptr<WorkloadActor> app) {
@@ -421,6 +457,7 @@ ShardedAppResult RunApps(const Plan& plan, const BuildShard& build, MetricsColle
     const PhaseReport report = Analyze(sim);
     AppRunResult r;
     r.ops_per_sec = report.ops_per_sec;
+    r.mean_latency_cycles = report.mean_latency_cycles;
     r.runtime_ms = CyclesToSeconds(report.total_cycles, sim.platform().ghz) * 1e3;
     r.promotions = Promotions(sim.ms().counters());
     r.demotions = Demotions(sim.ms().counters());
@@ -451,7 +488,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
               cfg.base.threads);
   Plan plan = PlanOf(cfg, collector);
   plan.watchdog_stall_epochs = cfg.watchdog_stall_epochs;
-  plan.fault_factory = cfg.fault_factory;
+  plan.shard_setup = cfg.shard_setup;
   const uint32_t S = plan.shards;
 
   // --- partition: each shard is a 1/N machine running 1/N of the work ---
@@ -484,14 +521,11 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
     sh.zipf = std::make_unique<ScrambledZipfian>(layout.wss_pages, c.zipf_theta, c.seed);
     const Vpn wss_start = SetupMicroLayout(sim, layout, *sh.zipf);
     for (int t = 0; t < c.threads; t++) {
-      MicroWorkload::Config wcfg;
-      wcfg.base.total_ops = c.total_ops / static_cast<uint64_t>(c.threads);
-      wcfg.base.seed = c.seed + 1000 + static_cast<uint64_t>(t);
-      wcfg.base.batch = c.batch;
-      wcfg.wss_start = wss_start;
-      wcfg.wss_pages = layout.wss_pages;
-      wcfg.write_fraction = c.write_fraction;
-      AddApp(sh, std::make_unique<MicroWorkload>(&sim.ms(), &sim.as(), sh.zipf.get(), wcfg));
+      WorkloadActor::BaseConfig base;
+      base.total_ops = c.total_ops / static_cast<uint64_t>(c.threads);
+      base.seed = c.seed + 1000 + static_cast<uint64_t>(t);
+      base.batch = c.batch;
+      AddApp(sh, MakeMicroApp(c, sim, base, wss_start, layout.wss_pages, sh.zipf.get()));
     }
   });
 
@@ -606,6 +640,34 @@ AppRunResult RunPageRankBench(const PageRankRunConfig& config, MetricsCollector*
   const auto build = [&](uint32_t s, Shard& sh) {
     Sim& sim = BuildAppSim(plan, s, config, end, /*demote=*/false, sh);
     AddApp(sh, std::make_unique<PageRankWorkload>(&sim.ms(), &sim.as(), wcfg));
+  };
+  return RunApps(plan, build, collector, label).per_shard[0];
+}
+
+AppRunResult RunPointerChaseBench(PolicyKind policy, uint64_t blocks,
+                                  MetricsCollector* collector, const std::string& label) {
+  // Figure 10's machine, in the fields BuildAppSim reads.
+  struct ChaseApp {
+    PlatformId platform = PlatformId::kC;
+    PolicyKind policy;
+    uint64_t scale_denom = 64;
+    double slow_gb = 32.0;
+    double kernel_gb = 3.5;
+  };
+  const ChaseApp app{.policy = policy};
+  PointerChaseWorkload::Config wcfg;
+  wcfg.block_pages = ScaleOf(app.scale_denom).Pages(1.0);  // 1 GB blocks (paper)
+  wcfg.num_blocks = blocks;
+  wcfg.base.total_ops = 1200000;
+  wcfg.base.seed = 42;
+
+  // The whole region is mapped fast-first in VPN order.
+  Plan plan;
+  plan.instruments = Instrumented(plan, collector);
+  const auto build = [&](uint32_t s, Shard& sh) {
+    Sim& sim = BuildAppSim(plan, s, app, wcfg.block_pages * wcfg.num_blocks,
+                           /*demote=*/false, sh);
+    AddApp(sh, std::make_unique<PointerChaseWorkload>(&sim.ms(), &sim.as(), wcfg));
   };
   return RunApps(plan, build, collector, label).per_shard[0];
 }

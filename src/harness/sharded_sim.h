@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "src/fault/fault_injector.h"
 #include "src/harness/run.h"
 #include "src/sim/shard.h"
 
@@ -48,18 +47,19 @@ struct ShardedRunConfig {
   Cycles epoch_cycles = 500000;   // virtual-time barrier interval
   uint64_t max_epochs = 1 << 22;  // safety net against stalled shards
   bool audit = false;  // run InvariantChecker on every quiesced shard
-  // Chaos seam: when set, every shard gets its own FaultInjector (built
-  // from the shard id, so schedules can differ per shard) installed into
-  // its MemorySystem before the run. The factory is called once per shard
-  // by the worker thread that builds that shard, concurrently with the
-  // other shards' calls, so it must be safe to call from several threads
-  // and must depend only on the shard id. The lockstep loop additionally
-  // consults the shard-aware kinds (kShardStall, kShardDelay,
-  // kAllocFailWave) once per (shard, epoch) from the shard's OWN injector,
-  // which keeps every fault decision a pure function of (shard seed,
-  // epoch) — independent of exec_threads. A one-shard run has no epochs,
-  // so it never consults them.
-  std::function<std::unique_ptr<FaultInjector>(uint32_t shard)> fault_factory;
+  // Per-shard set-up hook: when set, it is called once per shard with the
+  // shard's new Sim, before the layout is mapped and the workloads are
+  // added. It may install the shard's own FaultInjector (schedules can
+  // differ per shard) and add engine actors, such as an auditor, that
+  // outlive the run. The worker thread that builds a shard makes the call,
+  // concurrently with the other shards' calls, so the hook must be safe to
+  // call from several threads and may touch only that shard's Sim and
+  // state it keeps per shard. The lockstep loop additionally consults the
+  // shard-aware fault kinds (kShardStall, kShardDelay, kAllocFailWave) once
+  // per (shard, epoch) from the shard's OWN injector, which keeps every
+  // fault decision a pure function of (shard seed, epoch) — independent of
+  // exec_threads. A one-shard run has no epochs, so it never consults them.
+  std::function<void(uint32_t shard, Sim& sim)> shard_setup;
   // Deterministic livelock watchdog: a live shard that reports no progress
   // for this many consecutive epochs is declared stalled — the detection
   // runs in the barrier's drain callback on the drained message stream
@@ -124,6 +124,12 @@ AppRunResult RunYcsbBench(const YcsbRunConfig& config, MetricsCollector* collect
 AppRunResult RunPageRankBench(const PageRankRunConfig& config,
                               MetricsCollector* collector = nullptr,
                               const std::string& label = "");
+// The block pointer chase of Figure 10 on platform C (32 GB of PM):
+// `blocks` blocks of 1 GB each, the whole region mapped fast-first in VPN
+// order.
+AppRunResult RunPointerChaseBench(PolicyKind policy, uint64_t blocks,
+                                  MetricsCollector* collector = nullptr,
+                                  const std::string& label = "");
 AppRunResult RunLiblinearBench(const LiblinearRunConfig& config,
                                MetricsCollector* collector = nullptr,
                                const std::string& label = "");

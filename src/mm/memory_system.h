@@ -130,7 +130,7 @@ class NOMAD_SHARD_CONFINED MemorySystem {
   // Migration-lifecycle span links (the mig_* trace events). Off by
   // default: span records land in the trace ring and its summary counts,
   // and the fixed-seed goldens are captured without them. trace_query
-  // --span needs them on (nomadsim/chaos_sim --spans).
+  // --span needs them on (nomadsim --spans, or chaos_sim with --trace_out).
   void set_span_tracing(bool on) { spans_enabled_ = on; }
   bool span_tracing() const { return spans_enabled_; }
 

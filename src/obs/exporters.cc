@@ -24,6 +24,12 @@ void WriteChromeTrace(const TraceSink& sink, double ghz,
   JsonWriter jw(out);
   jw.BeginObject();
   jw.Field("displayTimeUnit", std::string_view("ms"));
+  // The ring keeps only its newest records, so say how many it took and
+  // how many of those are gone: a reader can tell a truncated trace.
+  jw.Key("otherData").BeginObject();
+  jw.Field("emitted", sink.total_emitted());
+  jw.Field("dropped", sink.dropped());
+  jw.EndObject();
   jw.Key("traceEvents").BeginArray();
 
   const std::vector<TraceEventRecord> records = sink.Snapshot();

@@ -1,6 +1,6 @@
-// Sequential scan workload (Table 3 robustness test): sweeps a predefined
-// RSS area line by line, wrapping around. Used to measure shadow-page
-// footprint and reclamation as RSS approaches total tiered-memory capacity.
+// Sequential scan workload: sweeps a region a few lines per page,
+// wrapping around (MicroRunConfig::pattern kSeqScan; the chaos campaign's
+// "scan" workload).
 #ifndef SRC_WORKLOAD_SEQ_SCAN_H_
 #define SRC_WORKLOAD_SEQ_SCAN_H_
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
+#include "src/harness/run.h"
 #include "src/harness/table.h"
 #include "src/workload/micro.h"
 
@@ -190,6 +192,42 @@ TEST(AnalyzeTest, EmptySimIsZeroes) {
   const PhaseReport r = Analyze(sim);
   EXPECT_EQ(r.total_ops, 0u);
   EXPECT_EQ(r.overall_gbps, 0.0);
+}
+
+size_t Occurrences(const std::string& s, const std::string& what) {
+  size_t n = 0;
+  for (size_t at = s.find(what); at != std::string::npos; at = s.find(what, at + 1)) {
+    n++;
+  }
+  return n;
+}
+
+// A run whose trace ring wrapped warns exactly once, whether it is exported
+// as metrics, as a trace or as both, and its trace file records the loss.
+TEST(MetricsCollectorTest, TruncatedTraceWarnsOncePerRun) {
+  Sim sim(SmallPlatform(), PolicyKind::kNoMigration, 16);
+  TraceSink& trace = sim.ms().trace();
+  const uint64_t emitted = trace.capacity() + 5;
+  for (uint64_t i = 0; i < emitted; i++) {
+    trace.Emit(TraceEvent::kHintFault, i, 0, 1);
+  }
+  const std::string metrics_path = ::testing::TempDir() + "truncated_metrics.json";
+  const std::string trace_path = ::testing::TempDir() + "truncated_trace.json";
+  const std::string warning = "dropped 5 of " + std::to_string(emitted) + " events";
+  for (const auto& [metrics, traced] : {std::pair{true, false}, {false, true}, {true, true}}) {
+    SCOPED_TRACE(std::string(metrics ? "metrics " : "") + (traced ? "trace" : ""));
+    MetricsCollector collector("truncated", metrics ? metrics_path : "",
+                               traced ? trace_path : "");
+    ::testing::internal::CaptureStderr();
+    collector.Capture("run", sim, Analyze(sim));
+    EXPECT_EQ(Occurrences(::testing::internal::GetCapturedStderr(), warning), 1u);
+  }
+  std::ifstream in(trace_path);
+  std::stringstream doc;
+  doc << in.rdbuf();
+  EXPECT_NE(doc.str().find("\"otherData\":{\"emitted\":" + std::to_string(emitted) +
+                           ",\"dropped\":5}"),
+            std::string::npos);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

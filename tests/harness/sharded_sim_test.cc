@@ -83,9 +83,9 @@ TEST(ShardedSimTest, ShardCountChangesPartitionButRunsClean) {
 }
 
 TEST(ShardedSimTest, RunConfigReachesEveryShard) {
-  // MicroRunConfig's batch (accesses per engine step), Zipf skew and NOMAD
-  // policy settings must reach every shard's workload actors and policy,
-  // not only a one-shard run's.
+  // MicroRunConfig's batch (accesses per engine step), Zipf skew, access
+  // pattern and NOMAD policy settings must reach every shard's workload
+  // actors and policy, not only a one-shard run's.
   for (uint32_t shards : {1u, 3u}) {
     SCOPED_TRACE(shards);
     ShardedRunConfig cfg = SmallConfig(PolicyKind::kNomad);
@@ -106,6 +106,12 @@ TEST(ShardedSimTest, RunConfigReachesEveryShard) {
     ShardedRunConfig flat = cfg;
     flat.base.zipf_theta = 0.8;
     expect_every_shard_changed(flat);
+    for (AccessPattern pattern : {AccessPattern::kPointerChase, AccessPattern::kSeqScan}) {
+      SCOPED_TRACE(AccessPatternName(pattern));
+      ShardedRunConfig other = cfg;
+      other.base.pattern = pattern;
+      expect_every_shard_changed(other);
+    }
 
     ShardedRunConfig admitted = cfg;
     admitted.base.nomad.enable_admission = true;

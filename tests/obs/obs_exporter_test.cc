@@ -365,6 +365,26 @@ TEST(ChromeTraceTest, RingWraparoundKeepsDocumentBalanced) {
   EXPECT_EQ(CountSubstr(doc, "\"ph\":\"B\""), CountSubstr(doc, "\"ph\":\"E\""));
 }
 
+TEST(ChromeTraceTest, RecordsEmittedAndDroppedCounts) {
+  // A wrapped ring keeps only its newest records. The document says so, so
+  // trace_query can flag a pairing or span result from it as truncated.
+  TraceSink wrapped(8);
+  for (Cycles t = 0; t < 200; t += 10) {
+    wrapped.Emit(TraceEvent::kHintFault, t, 1, 42);
+  }
+  std::ostringstream os;
+  WriteChromeTrace(wrapped, 2.0, {}, os);
+  EXPECT_TRUE(IsValidJson(os.str())) << os.str();
+  EXPECT_NE(os.str().find("\"otherData\":{\"emitted\":20,\"dropped\":12}"), std::string::npos)
+      << os.str();
+
+  const TraceSink complete = MakeSinkWithTpm();
+  std::ostringstream whole;
+  WriteChromeTrace(complete, 2.0, {}, whole);
+  EXPECT_NE(whole.str().find("\"otherData\":{\"emitted\":6,\"dropped\":0}"), std::string::npos)
+      << whole.str();
+}
+
 TEST(MetricsJsonTest, TraceSummarySurfacesDroppedAfterWraparound) {
   TraceSink sink(4);
   for (Cycles t = 0; t < 100; t += 10) {

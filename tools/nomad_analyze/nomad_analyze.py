@@ -11,7 +11,7 @@ object graph (everything a Sim owns is confined with it) — and reports:
          payload (reinterpret_cast / C-cast of an address into the integer
          arguments of ShardRouter::Send / Stage or a ShardMsg initializer)
   NA002  by-reference lambda capture crossing a thread seam (std::thread,
-         std::async, a thread-pool emplace, or a fault_factory assignment)
+         std::async, a thread-pool emplace, or a shard_setup assignment)
          outside the sanctioned shard runtime
   NA003  pointer/reference to a shard-confined type in static or
          namespace-scope storage (confined state must never be reachable
@@ -337,14 +337,14 @@ THREAD_SEAM_RES = [
     (re.compile(r"\bstd::async\s*\("), "std::async"),
     (re.compile(r"\b\w*(?:pool|threads|workers)\w*\.(?:emplace_back|push_back)\s*\("),
      "thread-pool enqueue"),
-    (re.compile(r"\bfault_factory\s*=\s*"), "fault_factory assignment"),
+    (re.compile(r"\bshard_setup\s*=\s*"), "shard_setup assignment"),
 ]
 BYREF_CAPTURE_RE = re.compile(r"\[\s*&")
 
 
 def rule_na002(f, ctx):
     """A [&]-capturing lambda handed to a thread constructor, async
-    launch, pool enqueue, or fault_factory slot: references inside it can
+    launch, pool enqueue, or shard_setup slot: references inside it can
     alias shard-confined state on a foreign thread."""
     if f.path in SHARD_RUNTIME_FILES:
         return
@@ -758,9 +758,9 @@ void Fill(std::vector<std::thread>& pool, Sim& sim) {
   pool.emplace_back([&sim] { sim.Step(); });
 }
 """, True),
-    ("na002_fault_factory_byref", "NA002", "src/nomad/bad7.cc", """
-void Arm(ShardedRunConfig& cfg, Sim& sim) {
-  cfg.fault_factory = [&sim](uint32_t shard) { return sim.MakeInjector(shard); };
+    ("na002_shard_setup_byref", "NA002", "src/nomad/bad7.cc", """
+void Arm(ShardedRunConfig& cfg, FaultPlan& plan) {
+  cfg.shard_setup = [&plan](uint32_t shard, Sim& sim) { plan.Install(shard, sim); };
 }
 """, True),
     ("na002_byvalue_ok", "NA002", "src/nomad/good2.cc", """

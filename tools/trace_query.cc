@@ -27,6 +27,10 @@
 //   --span_id=N          print one migration's full waterfall
 //   --selftest           run the embedded checks on canned documents
 //
+// A trace whose ring dropped events says so in its otherData block; every
+// --pair, --span and --top result from it is followed by a truncation
+// warning, since migrations that began before the cut are missing.
+//
 // Cycle conversion: trace timestamps are microseconds (ts = cycles/(ghz*1e3)),
 // so --ghz (or the "ghz" field of the first metrics run) recovers cycles.
 #include <algorithm>
@@ -289,13 +293,32 @@ struct TraceEvt {
 struct TraceDoc {
   std::vector<TraceEvt> events;
   std::map<uint64_t, std::string> actor_names;
+  // The simulator's ring accounting (otherData), 0 in documents without it.
+  uint64_t emitted = 0;
+  uint64_t dropped = 0;
 };
+
+// A warning line for results built from a trace whose ring dropped events
+// (the oldest ones: pairings and spans that began before the cut are
+// missing or partial), or "" for a complete trace.
+std::string TruncationNote(const TraceDoc& doc) {
+  if (doc.dropped == 0) {
+    return "";
+  }
+  return "warning: truncated trace: the ring dropped the oldest " + std::to_string(doc.dropped) +
+         " of " + std::to_string(doc.emitted) + " events, so these results miss every " +
+         "migration that began before the cut\n";
+}
 
 bool LoadTrace(const JsonValue& root, TraceDoc* doc, std::string* error) {
   const JsonValue* events = root.Get("traceEvents");
   if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
     *error = "document has no traceEvents array";
     return false;
+  }
+  if (const JsonValue* other = root.Get("otherData")) {
+    doc->emitted = static_cast<uint64_t>(other->Num("emitted"));
+    doc->dropped = static_cast<uint64_t>(other->Num("dropped"));
   }
   for (const JsonValue& e : events->arr) {
     const std::string ph = e.Str("ph");
@@ -945,6 +968,23 @@ void RunSelftest() {
   TraceDoc doc;
   Check(LoadTrace(root, &doc, &error), "trace model loads");
   Check(doc.actor_names.at(3) == "kpromote", "thread_name metadata mapped");
+  Check(TruncationNote(doc).empty(), "a trace without drops carries no truncation note");
+
+  // A wrapped ring's document says how much it lost, and every pairing or
+  // span result built from it carries the note.
+  {
+    JsonValue cut_root;
+    JsonParser p(R"({"otherData": {"emitted": 70000, "dropped": 4464},
+                     "traceEvents": [{"name": "tpm", "ph": "E", "ts": 1.0, "pid": 0,
+                                      "tid": 3, "args": {"outcome": "tpm_commit"}}]})");
+    Check(p.Parse(&cut_root), "truncated trace parses: " + p.error());
+    TraceDoc cut;
+    Check(LoadTrace(cut_root, &cut, &error), "truncated trace model loads");
+    Check(cut.emitted == 70000 && cut.dropped == 4464, "ring accounting read from otherData");
+    Check(TruncationNote(cut).find("dropped the oldest 4464 of 70000 events") !=
+              std::string::npos,
+          "truncated trace carries the note");
+  }
 
   // Pairing: two commits survive; the abort and the dangling close do not.
   {
@@ -1195,6 +1235,7 @@ int Main(int argc, char** argv) {
   int rc = 0;
   if (span || span_id != 0) {
     rc = std::max(rc, ReportSpans(doc, filter, span_id, check));
+    std::cout << TruncationNote(doc);
   }
   if (!pair.empty()) {
     if (ghz == 0) {
@@ -1205,7 +1246,8 @@ int Main(int argc, char** argv) {
     const PairReport r = ReportPairs(samples);
     std::cout << "paired '" << pair << "' slices (committed): count=" << r.count
               << " p50=" << r.p50 << " p90=" << r.p90 << " p99=" << r.p99
-              << " max=" << r.max << " (cycles at " << ghz << " GHz)\n";
+              << " max=" << r.max << " (cycles at " << ghz << " GHz)\n"
+              << TruncationNote(doc);
     // Cross-check against the selected run's migration-latency histogram.
     if (run != nullptr && pair == "tpm") {
       const JsonValue* hists = run->Get("histograms");
@@ -1241,6 +1283,7 @@ int Main(int argc, char** argv) {
                 << " redirties=" << t.stats.redirties << " aborts=" << t.stats.aborts
                 << "\n";
     }
+    std::cout << TruncationNote(doc);
   }
   return rc;
 }
