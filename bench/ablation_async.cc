@@ -7,7 +7,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "ablation_async")) {
+    return 2;
+  }
   PrintHeader("Ablation",
               "where NOMAD's win comes from: asynchrony vs transactionality",
               PlatformId::kA, 64);

@@ -9,7 +9,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "ablation_governor")) {
+    return 2;
+  }
   PrintHeader("Ablation", "thrash governor (sec. 5 future work): throttle promotions "
               "when promotion ~ demotion", PlatformId::kA, 64);
 

@@ -12,8 +12,7 @@ using namespace nomad;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("ablation_pcq", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: ablation_pcq [--metrics_out=PATH] [--trace_out=PATH]\n";
+  if (!AllFlagsRead(flags, "ablation_pcq [--metrics_out=PATH] [--trace_out=PATH]")) {
     return 2;
   }
   PrintHeader("Ablation", "PCQ examination pace + faults per promotion", PlatformId::kA, 64);

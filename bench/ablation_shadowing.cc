@@ -11,8 +11,7 @@ using namespace nomad;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("ablation_shadowing", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: ablation_shadowing [--metrics_out=PATH] [--trace_out=PATH]\n";
+  if (!AllFlagsRead(flags, "ablation_shadowing [--metrics_out=PATH] [--trace_out=PATH]")) {
     return 2;
   }
   PrintHeader("Ablation", "page shadowing (non-exclusive) vs exclusive tiering in NOMAD",

@@ -72,4 +72,12 @@ void PrintHeader(const std::string& id, const std::string& what, PlatformId plat
             << "==================================================================\n";
 }
 
+bool AllFlagsRead(const Flags& flags, const std::string& usage) {
+  if (flags.UnusedKeys().empty()) {
+    return true;
+  }
+  std::cerr << "usage: " << usage << "\n";
+  return false;
+}
+
 }  // namespace nomad

@@ -36,6 +36,12 @@ std::vector<PolicyKind> PoliciesFor(PlatformId platform, bool include_no_migrati
 void PrintHeader(const std::string& id, const std::string& what, PlatformId platform,
                  uint64_t scale_denom);
 
+// True when every argument on the command line is a flag the bench read;
+// otherwise prints "usage: <usage>" and returns false, and the bench exits
+// 2. Call after all Get* calls; a bench that reads no flag calls it first,
+// with its name as the usage.
+bool AllFlagsRead(const Flags& flags, const std::string& usage);
+
 }  // namespace nomad
 
 #endif  // BENCH_BENCH_COMMON_H_

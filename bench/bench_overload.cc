@@ -59,8 +59,7 @@ MicroRunResult RunVariant(bool admission, MetricsCollector* collector) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("bench_overload", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: bench_overload [--metrics_out=PATH] [--trace_out=PATH]\n";
+  if (!AllFlagsRead(flags, "bench_overload [--metrics_out=PATH] [--trace_out=PATH]")) {
     return 2;
   }
   PrintHeader("Overload", "admission control under a thrashing working set",

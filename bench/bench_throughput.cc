@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   if (!unused.empty()) {
     std::cerr << "unknown flag(s):";
     for (const auto& k : unused) {
-      std::cerr << " --" << k;
+      std::cerr << " " << k;
     }
     std::cerr << "\n";
     return 2;

@@ -18,8 +18,7 @@ using namespace nomad;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("fig01_tpp_motivation", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: fig01_tpp_motivation [--metrics_out=PATH] [--trace_out=PATH]\n";
+  if (!AllFlagsRead(flags, "fig01_tpp_motivation [--metrics_out=PATH] [--trace_out=PATH]")) {
     return 2;
   }
   PrintHeader("Figure 1", "achieved bandwidth: TPP vs no-migration", PlatformId::kA, 64);

@@ -8,7 +8,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "fig02_tpp_breakdown")) {
+    return 2;
+  }
   PrintHeader("Figure 2", "runtime breakdown of TPP during migration", PlatformId::kA, 64);
 
   MicroRunConfig cfg = MediumWssConfig(PlatformId::kA, PolicyKind::kTpp);

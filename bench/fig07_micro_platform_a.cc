@@ -2,7 +2,10 @@
 // FPGA CXL memory).
 #include "bench/micro_grid.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (!nomad::AllFlagsRead(nomad::Flags(argc, argv), "fig07_micro_platform_a")) {
+    return 2;
+  }
   nomad::RunMicroGrid(nomad::PlatformId::kA, "Figure 7");
   return 0;
 }

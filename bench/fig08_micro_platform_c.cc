@@ -2,7 +2,10 @@
 // Optane persistent memory; full PEBS visibility for Memtis).
 #include "bench/micro_grid.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (!nomad::AllFlagsRead(nomad::Flags(argc, argv), "fig08_micro_platform_c")) {
+    return 2;
+  }
   nomad::RunMicroGrid(nomad::PlatformId::kC, "Figure 8");
   return 0;
 }

@@ -24,8 +24,7 @@ double RunChase(PolicyKind policy, double wss_gb, MetricsCollector* collector) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("fig10_pointer_chase", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: fig10_pointer_chase [--metrics_out=PATH] [--trace_out=PATH]\n";
+  if (!AllFlagsRead(flags, "fig10_pointer_chase [--metrics_out=PATH] [--trace_out=PATH]")) {
     return 2;
   }
   PrintHeader("Figure 10", "pointer-chase average cache-line latency vs WSS", PlatformId::kC,

@@ -12,9 +12,8 @@ using namespace nomad;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("fig11_redis_ycsb", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: fig11_redis_ycsb [--metrics_out=PATH] [--trace_out=PATH]"
-                 " [--profile_out=PATH]\n";
+  if (!AllFlagsRead(flags, "fig11_redis_ycsb [--metrics_out=PATH] [--trace_out=PATH]"
+                           " [--profile_out=PATH]")) {
     return 2;
   }
   std::cout << "==================================================================\n"

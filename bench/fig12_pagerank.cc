@@ -10,7 +10,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "fig12_pagerank")) {
+    return 2;
+  }
   std::cout << "==================================================================\n"
                "Figure 12: PageRank performance, normalized to the slowest policy\n"
                "2^20 scaled vertices (2^26 paper), degree 20, sizes scaled 1/64\n"

@@ -10,7 +10,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "fig13_liblinear")) {
+    return 2;
+  }
   std::cout << "==================================================================\n"
                "Figure 13: Liblinear performance, normalized to the slowest policy\n"
                "RSS ~10 GB paper-equivalent, dataset demoted before the run\n"

@@ -9,7 +9,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "fig15_pagerank_large")) {
+    return 2;
+  }
   std::cout << "==================================================================\n"
                "Figure 15: PageRank, large RSS (~45 GB paper), platforms C/D\n"
                "==================================================================\n";

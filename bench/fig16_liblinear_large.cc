@@ -9,7 +9,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "fig16_liblinear_large")) {
+    return 2;
+  }
   std::cout << "==================================================================\n"
                "Figure 16: Liblinear, large model/RSS (~40 GB paper), platforms C/D\n"
                "==================================================================\n";

@@ -23,7 +23,10 @@ double MeasurePeakGbps(DeviceChannel channel, double ghz) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "table1_platforms")) {
+    return 2;
+  }
   std::cout << "Table 1: the four testbeds and their memory devices\n"
             << "(model check: 'meas' columns are measured from the simulator's\n"
             << " device model and must match the preset)\n\n";

@@ -30,8 +30,7 @@ PhaseCounts CountsOf(const MicroRunResult& r) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("table2_migration_counts", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: table2_migration_counts [--metrics_out=PATH] [--trace_out=PATH]\n";
+  if (!AllFlagsRead(flags, "table2_migration_counts [--metrics_out=PATH] [--trace_out=PATH]")) {
     return 2;
   }
   PrintHeader("Table 2", "promotions/demotions per phase (read | write runs)",

@@ -8,7 +8,10 @@
 
 using namespace nomad;
 
-int main() {
+int main(int argc, char** argv) {
+  if (!AllFlagsRead(Flags(argc, argv), "table3_shadow_reclaim")) {
+    return 2;
+  }
   PrintHeader("Table 3", "shadow memory size as RSS approaches capacity", PlatformId::kB, 64);
 
   const uint64_t seeds[] = {1, 2, 3};

@@ -15,8 +15,7 @@ using namespace nomad;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   MetricsCollector collector = MetricsCollector::FromFlags("table4_tpm_success", flags);
-  if (!flags.UnusedKeys().empty()) {
-    std::cerr << "usage: table4_tpm_success [--metrics_out=PATH] [--trace_out=PATH]\n";
+  if (!AllFlagsRead(flags, "table4_tpm_success [--metrics_out=PATH] [--trace_out=PATH]")) {
     return 2;
   }
   std::cout << "==================================================================\n"

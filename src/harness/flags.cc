@@ -52,9 +52,10 @@ std::vector<std::string> Flags::UnusedKeys() const {
   std::vector<std::string> unused;
   for (const auto& [key, value] : values_) {
     if (used_.find(key) == used_.end()) {
-      unused.push_back(key);
+      unused.push_back("--" + key);
     }
   }
+  unused.insert(unused.end(), positional_.begin(), positional_.end());
   return unused;
 }
 

@@ -1,7 +1,8 @@
 // Minimal --key=value command-line flag parsing for tools and benches.
 //
-// Supports `--key=value` and bare `--key` (treated as "true"). Unknown
-// keys are collected so callers can reject typos.
+// Supports `--key=value` and bare `--key` (treated as "true"). No binary
+// reads a positional argument; unread arguments of either kind are
+// collected so callers can reject typos and strays.
 #ifndef SRC_HARNESS_FLAGS_H_
 #define SRC_HARNESS_FLAGS_H_
 
@@ -14,7 +15,6 @@ namespace nomad {
 
 class Flags {
  public:
-  // Parses argv; non-flag arguments are kept in positional().
   Flags(int argc, char** argv);
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
@@ -24,10 +24,8 @@ class Flags {
   double GetDouble(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def = false) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  // Keys that were parsed but never queried (typo detection). Call after
-  // all Get* calls.
+  // Arguments no Get* call read, as typed: `--key` for a flag (without
+  // its value), then every positional argument. Call after all Get* calls.
   std::vector<std::string> UnusedKeys() const;
 
  private:

@@ -128,11 +128,6 @@ struct MicroRunResult {
   std::string injector;  // FaultInjector::Describe() when one is installed
 };
 
-// Second-half value of a counter (steady phase).
-inline uint64_t SteadyCount(const MicroRunResult& r, const std::string& name) {
-  return r.counters.Get(name) - r.first_half.Get(name);
-}
-
 // Total promotions/demotions a policy performed (summing the policy's own
 // counter names).
 inline uint64_t Promotions(const CounterSet& c) {

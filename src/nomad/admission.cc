@@ -6,20 +6,6 @@
 
 namespace nomad {
 
-const char* AdmissionVerdictName(AdmissionVerdict v) {
-  switch (v) {
-    case AdmissionVerdict::kAccept:
-      return "accept";
-    case AdmissionVerdict::kDowngradeSync:
-      return "downgrade_sync";
-    case AdmissionVerdict::kDefer:
-      return "defer";
-    case AdmissionVerdict::kReject:
-      return "reject";
-  }
-  return "?";
-}
-
 void AdmissionController::Refill(Bucket& b, Cycles capacity) {
   const Cycles now = ms_->Now();
   if (!b.primed) {

@@ -48,9 +48,6 @@ enum class AdmissionVerdict : uint8_t {
   kReject = 3,         // drop candidacy; re-nominate later
 };
 
-// Stable lower_snake_case verdict name for reports.
-const char* AdmissionVerdictName(AdmissionVerdict v);
-
 // The requesting source, the second dimension of the verdict lattice.
 // Values appear in kAdmissionVerdict trace records (value >> 8).
 enum class AdmissionSource : uint8_t {

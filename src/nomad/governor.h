@@ -43,7 +43,6 @@ class ThrashGovernor : public Actor {
   std::string name() const override { return "thrash-governor"; }
 
   uint64_t throttle_events() const { return throttle_events_; }
-  bool gate_open() const { return gate_->open; }
 
  private:
   // Promotion/demotion totals from the shared counters.

@@ -65,7 +65,6 @@ class NomadPolicy : public TieringPolicy {
   const ShadowManager& shadows() const { return *shadows_; }
   ShadowManager& shadows() { return *shadows_; }
   const ThrashGovernor* governor() const { return governor_.get(); }
-  bool promotion_gate_open() const { return gate_.open; }
   const PromotionQueues& queues() const { return *queues_; }
   const KpromoteActor& kpromote() const { return *kpromote_; }
   // Migration control plane; nullptr unless config.enable_admission.

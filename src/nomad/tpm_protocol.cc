@@ -63,28 +63,6 @@ Outcome Transaction::Commit(Hw& hw) {
   return outcome_;
 }
 
-const char* StepName(Transaction::Step s) {
-  switch (s) {
-    case Transaction::Step::kClearDirty:
-      return "clear_dirty";
-    case Transaction::Step::kShootdown1:
-      return "shootdown1";
-    case Transaction::Step::kStartCopy:
-      return "start_copy";
-    case Transaction::Step::kFinishCopy:
-      return "finish_copy";
-    case Transaction::Step::kShootdown2:
-      return "shootdown2";
-    case Transaction::Step::kCheckDirty:
-      return "check_dirty";
-    case Transaction::Step::kResolve:
-      return "resolve";
-    case Transaction::Step::kDone:
-      return "done";
-  }
-  return "?";
-}
-
 SyncMigration::Step SyncMigration::Advance(SyncHw& hw) {
   const Step ran = next_;
   switch (next_) {

@@ -120,9 +120,6 @@ class Transaction {
   bool shadowing_;
 };
 
-// Step name for reproducer lines and diagnostics ("clear_dirty", ...).
-const char* StepName(Transaction::Step s);
-
 // --- synchronous migration (migrate.cc's 3-step procedure) --------------
 
 // Hardware surface of the unmap-copy-remap path. The page is unreachable

@@ -20,9 +20,6 @@ inline constexpr Cycles kNever = ~Cycles{0};
 // Converts cycles to seconds at the given core frequency.
 inline double CyclesToSeconds(Cycles c, double ghz) { return static_cast<double>(c) / (ghz * 1e9); }
 
-// Converts seconds to cycles at the given core frequency.
-inline Cycles SecondsToCycles(double s, double ghz) { return static_cast<Cycles>(s * ghz * 1e9); }
-
 }  // namespace nomad
 
 #endif  // SRC_SIM_CLOCK_H_

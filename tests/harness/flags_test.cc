@@ -46,19 +46,20 @@ TEST(FlagsTest, BoolFalseSpellings) {
   EXPECT_TRUE(Make({"--x=yes"}).GetBool("x", false));
 }
 
-TEST(FlagsTest, PositionalArgsCollected) {
-  Flags f = Make({"input.txt", "--k=v", "out.txt"});
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "input.txt");
-  EXPECT_EQ(f.positional()[1], "out.txt");
-}
-
 TEST(FlagsTest, UnusedKeysReported) {
   Flags f = Make({"--used=1", "--typo=2"});
   f.GetUint("used", 0);
   const auto unused = f.UnusedKeys();
   ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "typo");
+  EXPECT_EQ(unused[0], "--typo");
+}
+
+// No binary reads a positional argument, so each one is reported after the
+// unread flags, as typed.
+TEST(FlagsTest, PositionalArgsReported) {
+  Flags f = Make({"input.txt", "--k=v", "--typo", "out.txt"});
+  EXPECT_EQ(f.GetString("k", ""), "v");
+  EXPECT_EQ(f.UnusedKeys(), (std::vector<std::string>{"--typo", "input.txt", "out.txt"}));
 }
 
 TEST(FlagsTest, LastValueWins) {

@@ -1,867 +1,23 @@
 #!/usr/bin/env python3
-"""nomad_lint: repo-specific AST/token lint for the NOMAD simulator.
-
-Enforced rules (see DESIGN.md "Verification tooling" for the rationale):
-
-  NL001 pte-mutation      PTE/flag-bit mutation only inside the mechanism
-                          layers (src/mm/, src/nomad/, src/trace/); policy,
-                          harness, and tooling code must go through the
-                          page_table/frame_pool/MemorySystem APIs.
-  NL002 bare-assert       no bare assert(); structural invariants use
-                          NOMAD_CHECK, which survives release builds.
-  NL003 determinism       no std::rand / srand / random_device / mt19937 /
-                          wall-clock sources; simulations draw from the
-                          explicitly seeded nomad::Rng only.
-  NL004 name-literal      no string literals at counters().Add/.Get or
-                          histogram .Record() call sites in src/, and no
-                          profiler nodes conjured from integer literals;
-                          names come from the cnt::/hist::/ProfNode
-                          registries (src/obs/event_registry.h).
-  NL005 naked-new         no naked new/delete in src/; ownership is
-                          std::unique_ptr / containers.
-  NL006 include-guard     header guards spell the repo-relative path
-                          (SRC_MM_PTE_H_ for src/mm/pte.h).
-  NL007 io-in-core        no <iostream>/<fstream> outside the harness and
-                          declared I/O endpoints; core layers report via
-                          counters, traces, and return values.
-  NL008 shard-ownership   shard-owned state may only be mutated through the
-                          shard-message APIs: ShardRouter/ShardBarrier/
-                          ShardMsg and cross-shard `shards[i]` mutation are
-                          confined to the sharded runtime (src/sim/shard.*,
-                          src/harness/sharded_sim.*); everything else would
-                          bypass the deterministic drain order.
-  NL009 frame-flags       frame metadata is a packed flags word (struct-of-
-                          arrays FrameTable, src/mm/page.h); outside src/mm
-                          it may only be touched through the PageFrame
-                          accessors. Raw frame_flags:: bit constants and
-                          writes to a flags_ word are mm-internal: a raw
-                          bitmask write would silently clobber neighboring
-                          bit fields (LRU list id, TPM abort count).
-  NL010 silent-degrade    every degrading admission decision (returning or
-                          assigning AdmissionVerdict kDefer/kReject/
-                          kDowngradeSync) must be observable: a registry-
-                          named counter or trace emission - or the
-                          RecordVerdict helper wrapping both - within 10
-                          lines. Overload shedding that leaves no metric
-                          behind is indistinguishable from a hang when
-                          operators debug a soak failure.
-  NL011 unannotated-sync  any class in src/ holding a std::mutex /
-                          std::condition_variable / std::atomic member (or
-                          the annotated Mutex/CondVar wrappers) or a
-                          ShardRouter/ShardBarrier member must carry
-                          thread-safety annotations (NOMAD_GUARDED_BY /
-                          NOMAD_CAPABILITY / NOMAD_SHARD_CONFINED, see
-                          src/base/annotations.h) somewhere in its span:
-                          unannotated concurrency state is invisible to
-                          both -Wthread-safety and nomad_analyze.
-                          src/base/ itself (the vocabulary) is exempt.
-  NL012 timeline-channel  no complete string literal at Timeline .Channel()
-                          call sites; gauge names come from the tl::
-                          constants (NOMAD_TIMELINE_CHANNEL_LIST), so the
-                          registry check and the sampler can never drift.
-                          Derived channels composed from a "cnt."/"hist."
-                          prefix literal plus a registry name ("cnt." +
-                          name) are the mechanical pattern and stay legal.
-
-Engines. The default engine is a pure-Python lexer (comments and string
-literals stripped, then per-line pattern rules): zero dependencies, runs
-anywhere. When the libclang Python bindings are importable (CI installs
-python3-clang), `--backend=clang` re-checks NL001 and NL005 on the real
-AST — member writes are matched by the base expression's *type* (Pte)
-rather than the variable's name, and new/delete by expression kind — and
-any extra findings are reported with the same rule IDs. The clang backend
-is strict: a translation unit the parser cannot load, or that produces
-fatal diagnostics, fails the run (exit 2) instead of silently degrading
-to token-only coverage — CI requires it. `--backend=auto` (default) uses
-clang when available, silently falling back otherwise.
+"""nomad_lint: repo-specific token/AST lint for the NOMAD simulator.
 
 Usage:
   python3 tools/nomad_lint/nomad_lint.py [--root=DIR] [--backend=auto|token|clang]
-                                         [--compdb=build/compile_commands.json]
-                                         [--selftest] [--list-rules] [files...]
+                                         [--compdb=build] [--selftest]
+                                         [--list-rules] [files...]
 
-Exit status: 0 clean, 1 findings, 2 usage/internal error.
+Checks rules NL001-NL012 over src/, bench/ and tools/ (or the files
+given). Exit status: 0 clean, 1 findings, 2 usage error, unreadable path
+or clang failure. The rules and engines live in tools/nomad_check.
 """
 
 import os
-import re
 import sys
 
-# --------------------------------------------------------------------------
-# Source model
-
-
-def strip_comments_and_strings(text):
-    """Blanks out comments and string/char literals, preserving line breaks.
-
-    Keeps every character position stable (replaced with spaces) so finding
-    offsets map straight back to the original file.
-    """
-    out = []
-    i = 0
-    n = len(text)
-    state = "code"  # code | line_comment | block_comment | string | char | raw
-    raw_delim = ""
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                m = re.match(r'R"([^()\\ ]{0,16})\(', text[i:])
-                if m and i > 0 and text[i - 1] == "R":
-                    raw_delim = ")" + m.group(1) + '"'
-                    state = "raw"
-                    out.append(" " * (m.end()))
-                    i += m.end()
-                    continue
-                state = "string"
-                out.append(" ")
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                out.append(" ")
-                i += 1
-                continue
-            out.append(c)
-            i += 1
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append("\n")
-            else:
-                out.append(" ")
-            i += 1
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-            i += 1
-        elif state in ("string", "char"):
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == quote:
-                state = "code"
-                out.append(quote)
-                i += 1
-                continue
-            out.append("\n" if c == "\n" else " ")
-            i += 1
-        elif state == "raw":
-            if text.startswith(raw_delim, i):
-                state = "code"
-                out.append(" " * len(raw_delim))
-                i += len(raw_delim)
-                continue
-            out.append("\n" if c == "\n" else " ")
-            i += 1
-    return "".join(out)
-
-
-class SourceFile:
-    def __init__(self, path, rel, text):
-        self.path = path
-        self.rel = rel.replace(os.sep, "/")
-        self.text = text
-        self.code = strip_comments_and_strings(text)
-        self.lines = self.code.split("\n")
-        self.raw_lines = text.split("\n")
-
-
-class Finding:
-    def __init__(self, rel, line, rule, message):
-        self.rel = rel
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self):
-        return "%s:%d: %s: %s" % (self.rel, self.line, self.rule, self.message)
-
-
-# --------------------------------------------------------------------------
-# Token-engine rules
-
-PTE_BITS = r"(?:present|writable|dirty|accessed|prot_none|shadow_rw|pfn)"
-# `pte->dirty = ...`, `pte.writable |= ...`, `(*pte).present = ...`
-PTE_MUT_RE = re.compile(
-    r"(?:\bpte\w*\s*(?:\.|->)|\(\s*\*\s*pte\w*\s*\)\s*\.)\s*"
-    + PTE_BITS
-    + r"\s*(?:\|=|&=|\^=|=(?!=))"
-)
-
-DETERMINISM_RES = [
-    (re.compile(r"\bstd\s*::\s*rand\b|\bsrand\s*\("), "libc PRNG"),
-    (re.compile(r"\brandom_device\b"), "std::random_device (nondeterministic seed)"),
-    (re.compile(r"\bmt19937(_64)?\b"), "std::mt19937 (use the seeded nomad::Rng)"),
-    (
-        re.compile(r"\b(system_clock|steady_clock|high_resolution_clock)\b"),
-        "wall clock (simulated time only)",
-    ),
-    (re.compile(r"\bgettimeofday\b|\bclock_gettime\b"), "wall clock (simulated time only)"),
-    (re.compile(r"\btime\s*\(\s*(NULL|nullptr|0)?\s*\)"), "time() (wall clock)"),
-]
-
-ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
-COUNTER_LIT_RE = re.compile(r"\.\s*(Add|Get)\s*\(\s*\"")
-# `hists().Record("...")` — histogram names come from the hist:: constants
-# so the registry check (and NOMAD_HIST_NAME_LIST) stays the single source.
-HIST_LIT_RE = re.compile(r"\.\s*Record\s*\(\s*\"")
-# `static_cast<ProfNode>(3)` — a span node invented from a raw integer
-# bypasses the NOMAD_PROF_NODE_LIST registry (casts of loop variables, as
-# the exporters use, are fine).
-PROFNODE_CAST_RE = re.compile(r"static_cast\s*<\s*ProfNode\s*>\s*\(\s*\d")
-NEW_RE = re.compile(r"(?<![\w_:])new\b(?!\s*\[?\s*\]?\s*\()")  # `new T...`, not op overloads
-NEW_ANY_RE = re.compile(r"(?<![\w_:])new\b")
-DELETE_RE = re.compile(r"(?<![\w_:])delete\b(?:\s*\[\s*\])?")
-IO_INCLUDE_RE = re.compile(r'#\s*include\s*<(iostream|fstream)>')
-
-
-def in_dirs(rel, dirs):
-    return any(rel.startswith(d) for d in dirs)
-
-
-def rule_nl001(f):
-    # Mechanism layers own the PTE encoding; everyone else uses the APIs.
-    if in_dirs(f.rel, ("src/mm/", "src/nomad/", "src/trace/")):
-        return
-    if not in_dirs(f.rel, ("src/", "tools/")):
-        return
-    for i, line in enumerate(f.lines, 1):
-        if PTE_MUT_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL001",
-                "direct PTE bit mutation outside src/mm|nomad|trace; use the "
-                "page_table/MemorySystem APIs (e.g. InstallMappingSilent)")
-
-
-def rule_nl002(f):
-    if not in_dirs(f.rel, ("src/", "tools/")):
-        return
-    for i, line in enumerate(f.lines, 1):
-        for m in ASSERT_RE.finditer(line):
-            before = line[: m.start()]
-            if before.rstrip().endswith("static_"):
-                continue
-            yield Finding(f.rel, i, "NL002",
-                          "bare assert() compiles out of release builds; use NOMAD_CHECK")
-
-
-# The one benchmark whose entire job is wall-clock measurement: it times
-# the simulator itself (pages-simulated/sec), never simulated behavior.
-NL003_ALLOWLIST = ("bench/bench_throughput.cc",)
-
-
-def rule_nl003(f):
-    if not in_dirs(f.rel, ("src/", "tools/", "bench/")) or f.rel in NL003_ALLOWLIST:
-        return
-    for i, line in enumerate(f.lines, 1):
-        for rx, what in DETERMINISM_RES:
-            if rx.search(line):
-                yield Finding(f.rel, i, "NL003",
-                              "nondeterminism source: %s breaks bit-reproducible runs" % what)
-
-
-def rule_nl004(f):
-    if not in_dirs(f.rel, ("src/",)):
-        return
-    for i, line in enumerate(f.lines, 1):
-        # The stripper blanks literal *contents* but keeps the quotes.
-        if COUNTER_LIT_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL004",
-                "counter name as string literal; use the cnt:: constants from "
-                "src/obs/event_registry.h")
-        if HIST_LIT_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL004",
-                "histogram name as string literal; use the hist:: constants "
-                "from src/obs/event_registry.h")
-        if PROFNODE_CAST_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL004",
-                "profiler node from an integer literal; use the ProfNode:: "
-                "enumerators from src/obs/event_registry.h")
-
-
-def rule_nl005(f):
-    if not in_dirs(f.rel, ("src/", "tools/")):
-        return
-    for i, line in enumerate(f.lines, 1):
-        for m in NEW_ANY_RE.finditer(line):
-            if re.match(r"\s*operator\b", line[m.end():]):
-                continue  # operator new declarations
-            yield Finding(f.rel, i, "NL005",
-                          "naked new; own memory with std::unique_ptr/containers")
-        for m in DELETE_RE.finditer(line):
-            before = line[: m.start()].rstrip()
-            if before.endswith("="):  # `= delete` / `= delete;` function deletion
-                continue
-            if re.match(r"\s*operator\b", line[m.end():]):
-                continue
-            yield Finding(f.rel, i, "NL005",
-                          "naked delete; own memory with std::unique_ptr/containers")
-
-
-GUARD_IFNDEF_RE = re.compile(r"#\s*ifndef\s+(\w+)")
-
-
-def rule_nl006(f):
-    if not f.rel.endswith(".h") or not in_dirs(f.rel, ("src/", "tools/")):
-        return
-    expected = re.sub(r"[^A-Za-z0-9]", "_", f.rel).upper() + "_"
-    for i, line in enumerate(f.lines, 1):
-        m = GUARD_IFNDEF_RE.search(line)
-        if m:
-            if m.group(1) != expected:
-                yield Finding(f.rel, i, "NL006",
-                              "include guard %s should be %s" % (m.group(1), expected))
-            return
-    yield Finding(f.rel, 1, "NL006", "missing include guard %s" % expected)
-
-
-IO_ALLOWLIST = (
-    "src/harness/",        # the experiment driver prints reports by design
-    "src/workload/trace.cc",  # loads recorded access traces from disk
-)
-
-
-def rule_nl007(f):
-    if not in_dirs(f.rel, ("src/",)) or in_dirs(f.rel, IO_ALLOWLIST):
-        return
-    for i, line in enumerate(f.lines, 1):
-        m = IO_INCLUDE_RE.search(line)
-        if m:
-            yield Finding(
-                f.rel, i, "NL007",
-                "<%s> in a core layer; report through counters/traces or move "
-                "I/O to src/harness" % m.group(1))
-
-
-# Files allowed to speak the cross-shard protocol. Everyone else consumes
-# the high-level RunSharded* entry points, so any other mention of the
-# shard primitives (or mutation through a shard-state array) is a bypass
-# of the deterministic (sender id, seq) drain order.
-SHARD_RUNTIME_ALLOWLIST = (
-    "src/sim/shard.h",
-    "src/sim/shard.cc",
-    "src/harness/sharded_sim.h",
-    "src/harness/sharded_sim.cc",
-)
-SHARD_PRIMITIVE_RE = re.compile(r"\b(ShardRouter|ShardBarrier|ShardMsg)\b")
-# `shards[i].done = true`, `shards[peer].sim->...Frob() = x`, `sims[i]->x = y`
-SHARD_MUT_RE = re.compile(
-    r"\b(shards|sims)\s*\[[^\]]+\]\s*(?:\.|->)[^;=<>!]*(?<![<>!=+\-*/|&^])=(?!=)")
-
-
-def rule_nl008(f):
-    if f.rel in SHARD_RUNTIME_ALLOWLIST:
-        return
-    if not in_dirs(f.rel, ("src/", "tools/", "bench/")):
-        return
-    for i, line in enumerate(f.lines, 1):
-        if SHARD_PRIMITIVE_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL008",
-                "shard primitive used outside the sharded runtime; communicate "
-                "through RunShardedMicro/RunShardedYcsb (src/harness/sharded_sim.h)")
-        elif SHARD_MUT_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL008",
-                "mutation of shard-owned state outside the shard-message APIs; "
-                "only the sharded runtime may write another shard's state")
-
-
-# The packed frame-flags word is mm-internal. frame_flags:: constants name
-# raw bit positions, and `flags_[pfn] |= ...` style writes bypass the
-# PageFrame accessors that keep the multi-bit fields (LRU id, TPM abort
-# count) consistent. Reads outside src/mm go through the accessors too, so
-# any mention of the raw machinery is a finding.
-FRAME_FLAGS_RE = re.compile(r"\bframe_flags\s*::")
-FRAME_WORD_MUT_RE = re.compile(r"\bflags_\s*\[[^\]]*\]\s*(?:\|=|&=|\^=|=(?!=))")
-
-
-def rule_nl009(f):
-    if in_dirs(f.rel, ("src/mm/",)):
-        return
-    if not in_dirs(f.rel, ("src/", "tools/", "bench/")):
-        return
-    for i, line in enumerate(f.lines, 1):
-        if FRAME_FLAGS_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL009",
-                "raw frame_flags:: bit constant outside src/mm; use the "
-                "PageFrame accessors (src/mm/page.h)")
-        elif FRAME_WORD_MUT_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL009",
-                "raw write to a packed frame-flags word outside src/mm; a "
-                "bitmask write can clobber neighboring bit fields - use the "
-                "PageFrame accessors (src/mm/page.h)")
-
-
-# A degrading admission decision: `return AdmissionVerdict::kDefer;` or an
-# assignment `verdict = AdmissionVerdict::kReject`. Comparisons (==, !=,
-# <=, >=) and `case` labels are uses of a verdict, not decisions.
-NL010_WINDOW = 10
-DEGRADE_DECISION_RE = re.compile(
-    r"(?:\breturn\s+|(?<![=!<>])=\s*)"
-    r"AdmissionVerdict\s*::\s*k(?:Defer|Reject|DowngradeSync)\b")
-# Evidence that the decision is observable: a registry-named counter bump,
-# a registry-named trace emission, or the RecordVerdict helper (which does
-# both and is itself linted here).
-NL010_EMIT_RE = re.compile(
-    r"(?:counters\s*\(\s*\)|counters_)\s*\.\s*Add\s*\(\s*cnt\s*::\s*k"
-    r"|\bTrace\s*\(\s*TraceEvent\s*::\s*k"
-    r"|\bEmit\s*\(\s*TraceEvent\s*::\s*k"
-    r"|\bRecordVerdict\s*\(")
-
-
-def rule_nl010(f):
-    if not in_dirs(f.rel, ("src/",)):
-        return
-    for i, line in enumerate(f.lines, 1):
-        if line.lstrip().startswith("case"):
-            continue
-        if not DEGRADE_DECISION_RE.search(line):
-            continue
-        lo = max(0, i - 1 - NL010_WINDOW)
-        hi = min(len(f.lines), i + NL010_WINDOW)
-        if any(NL010_EMIT_RE.search(f.lines[j]) for j in range(lo, hi)):
-            continue
-        yield Finding(
-            f.rel, i, "NL010",
-            "degrading admission decision with no counter/trace emission "
-            "nearby; shed load observably (cnt::/TraceEvent:: registries, "
-            "see RecordVerdict in src/nomad/admission.cc)")
-
-
-# A concurrency-bearing member: synchronization primitive or a shard seam
-# object. `mutable` is common on mutexes; std::atomic carries template args.
-NL011_MEMBER_RE = re.compile(
-    r"(?:^|\n)[ \t]*(?:mutable\s+)?"
-    r"(std::mutex|std::condition_variable|std::atomic\s*<[^;]*>|"
-    r"Mutex|CondVar|ShardRouter|ShardBarrier)\s+\w+\s*(?:=[^;]*|\{[^;]*\})?;")
-NL011_CLASS_RE = re.compile(r"\b(?:class|struct)\s+(?:NOMAD_SHARD_CONFINED\s+)?"
-                            r"([A-Za-z_]\w*)\s*(?::[^;{]*)?\{")
-NL011_ANNOTATION_RE = re.compile(
-    r"\bNOMAD_(?:CAPABILITY|SCOPED_CAPABILITY|GUARDED_BY|PT_GUARDED_BY|"
-    r"REQUIRES|ACQUIRE|RELEASE|TRY_ACQUIRE|EXCLUDES|ACQUIRED_(?:BEFORE|AFTER)|"
-    r"RETURN_CAPABILITY|SHARD_CONFINED|NO_THREAD_SAFETY_ANALYSIS)\b")
-
-
-def nl011_class_span(stripped, open_idx):
-    depth = 0
-    for i in range(open_idx, len(stripped)):
-        if stripped[i] == "{":
-            depth += 1
-        elif stripped[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return stripped[open_idx:i + 1]
-    return stripped[open_idx:]
-
-
-def rule_nl011(f):
-    if not in_dirs(f.rel, ("src/",)) or in_dirs(f.rel, ("src/base/",)):
-        return
-    stripped = "\n".join(f.lines)
-    for m in NL011_CLASS_RE.finditer(stripped):
-        name = m.group(1)
-        open_idx = stripped.index("{", m.end() - 1)
-        span = nl011_class_span(stripped, open_idx)
-        member = NL011_MEMBER_RE.search(span)
-        if member is None:
-            continue
-        # The annotation may sit on the class head (NOMAD_SHARD_CONFINED)
-        # or on members/methods inside the span.
-        head = stripped[m.start():open_idx]
-        if NL011_ANNOTATION_RE.search(span) or NL011_ANNOTATION_RE.search(head):
-            continue
-        line = stripped.count("\n", 0, open_idx + member.start()) + 2
-        yield Finding(
-            f.rel, line, "NL011",
-            "class %s holds concurrency state (%s) but carries no "
-            "thread-safety annotation; add NOMAD_GUARDED_BY/NOMAD_CAPABILITY "
-            "for lock-protected fields or NOMAD_SHARD_CONFINED for "
-            "shard-confined objects (src/base/annotations.h)"
-            % (name, member.group(1).split("<")[0].strip()))
-
-
-# `t.Channel("pcq.depth")` — a complete literal channel name bypasses the
-# tl:: constants, so a typo aborts at runtime instead of failing to compile.
-# `t.Channel("cnt." + name)` (prefix literal then concatenation) is the
-# mechanical derivation pattern for counter/histogram channels and is legal:
-# the distinguishing token after the closing quote is `+`, not `)`. The
-# stripper blanks a literal to spaces and keeps only its closing quote, so
-# a complete-literal argument reads `(   ")` after stripping.
-CHANNEL_LIT_RE = re.compile(r"\.\s*Channel\s*\(\s*\"\s*\)")
-
-
-def rule_nl012(f):
-    if not in_dirs(f.rel, ("src/", "tools/", "bench/")):
-        return
-    for i, line in enumerate(f.lines, 1):
-        if CHANNEL_LIT_RE.search(line):
-            yield Finding(
-                f.rel, i, "NL012",
-                "timeline channel name as a complete string literal; use the "
-                "tl:: constants from src/obs/event_registry.h (derived "
-                "channels compose a \"cnt.\"/\"hist.\" prefix with a registry "
-                "name)")
-
-
-TOKEN_RULES = [
-    ("NL001", "PTE bit mutation outside the mechanism layers", rule_nl001),
-    ("NL002", "bare assert() instead of NOMAD_CHECK", rule_nl002),
-    ("NL003", "nondeterminism sources (rand/clock) outside the seeded Rng", rule_nl003),
-    ("NL004", "counter/histogram/span names outside the obs registries", rule_nl004),
-    ("NL005", "naked new/delete", rule_nl005),
-    ("NL006", "include guard must spell the file path", rule_nl006),
-    ("NL007", "<iostream>/<fstream> outside declared I/O endpoints", rule_nl007),
-    ("NL008", "shard-owned state mutated outside the shard-message APIs", rule_nl008),
-    ("NL009", "frame flags touched outside the PageFrame accessors", rule_nl009),
-    ("NL010", "degrading admission decisions must emit a counter/trace", rule_nl010),
-    ("NL011", "concurrency-bearing classes must carry thread-safety annotations",
-     rule_nl011),
-    ("NL012", "timeline channel names outside the tl:: registry", rule_nl012),
-]
-
-
-# --------------------------------------------------------------------------
-# Optional libclang backend (CI): AST-precise NL001/NL005
-
-
-def try_import_clang():
-    try:
-        import clang.cindex  # noqa: F401  (Debian/Ubuntu: python3-clang)
-        return sys.modules["clang.cindex"]
-    except Exception:
-        return None
-
-
-def clang_compile_args(compdb_dir, path, cindex):
-    try:
-        db = cindex.CompilationDatabase.fromDirectory(compdb_dir)
-        cmds = db.getCompileCommands(path)
-        if cmds:
-            args = list(cmds[0].arguments)[1:]  # drop the compiler itself
-            # Strip output/input args; keep -I/-D/-std and friends.
-            keep, skip_next = [], False
-            for a in args:
-                if skip_next:
-                    skip_next = False
-                    continue
-                if a in ("-c", path) or a.endswith(os.path.basename(path)):
-                    continue
-                if a == "-o":
-                    skip_next = True
-                    continue
-                keep.append(a)
-            return keep
-    except Exception:
-        pass
-    return ["-std=c++20", "-I."]
-
-
-def clang_findings(files, compdb_dir, cindex):
-    """NL001/NL005 on the real AST. Member writes are matched by base type.
-
-    Strict: a TU that fails to parse, or parses with fatal diagnostics,
-    aborts the run with exit 2 — required AST coverage must not silently
-    degrade to token-only checking."""
-    findings = []
-    kind = cindex.CursorKind
-    index = cindex.Index.create()
-    pte_bits = {"present", "writable", "dirty", "accessed", "prot_none", "shadow_rw", "pfn"}
-    for f in files:
-        if not f.rel.endswith(".cc"):
-            continue
-        if not in_dirs(f.rel, ("src/", "tools/")):
-            continue
-        try:
-            tu = index.parse(f.path, args=clang_compile_args(compdb_dir, f.path, cindex))
-        except Exception as e:
-            print("nomad_lint: clang backend failed to parse %s: %s" % (f.rel, e),
-                  file=sys.stderr)
-            sys.exit(2)
-        fatal = [d for d in tu.diagnostics if d.severity >= 4]
-        if fatal:
-            for d in fatal:
-                print("nomad_lint: clang backend: %s" % d, file=sys.stderr)
-            sys.exit(2)
-
-        def visit(node):
-            if node.location.file is None or node.location.file.name != f.path:
-                for ch in node.get_children():
-                    visit(ch)
-                return
-            if node.kind in (kind.CXX_NEW_EXPR, kind.CXX_DELETE_EXPR) and in_dirs(
-                    f.rel, ("src/", "tools/")):
-                findings.append(Finding(f.rel, node.location.line, "NL005",
-                                        "naked new/delete (AST)"))
-            if node.kind in (kind.BINARY_OPERATOR, kind.COMPOUND_ASSIGNMENT_OPERATOR):
-                kids = list(node.get_children())
-                if kids and kids[0].kind == kind.MEMBER_REF_EXPR:
-                    member = kids[0].spelling
-                    base = list(kids[0].get_children())
-                    base_type = base[0].type.spelling if base else ""
-                    if member in pte_bits and "Pte" in base_type and not in_dirs(
-                            f.rel, ("src/mm/", "src/nomad/", "src/trace/")):
-                        findings.append(Finding(
-                            f.rel, node.location.line, "NL001",
-                            "PTE bit mutation outside the mechanism layers (AST)"))
-            for ch in node.get_children():
-                visit(ch)
-
-        visit(tu.cursor)
-    return findings
-
-
-# --------------------------------------------------------------------------
-# Driver
-
-SCOPE_DIRS = ("src", "tools", "bench")
-SKIP_DIRS = {"build", ".git", "__pycache__"}
-
-
-def discover(root):
-    files = []
-    for scope in SCOPE_DIRS:
-        top = os.path.join(root, scope)
-        for dirpath, dirnames, filenames in os.walk(top):
-            dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
-            for name in sorted(filenames):
-                if name.endswith((".h", ".cc")):
-                    files.append(os.path.join(dirpath, name))
-    return sorted(files)
-
-
-def load(root, paths):
-    out = []
-    for p in paths:
-        rel = os.path.relpath(p, root)
-        try:
-            with open(p, "r", encoding="utf-8", errors="replace") as fh:
-                out.append(SourceFile(p, rel, fh.read()))
-        except OSError as e:
-            print("nomad_lint: cannot read %s: %s" % (p, e), file=sys.stderr)
-    return out
-
-
-def run_token_rules(files):
-    findings = []
-    for f in files:
-        for _, _, rule in TOKEN_RULES:
-            findings.extend(rule(f))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# Selftest: every rule must fire on a known-bad snippet and stay quiet on
-# the matching good snippet.
-
-SELFTEST_CASES = [
-    ("NL001", "src/policy/bad.cc", "void f(Pte* pte) { pte->dirty = true; }", True),
-    ("NL001", "src/mm/ok.cc", "void f(Pte* pte) { pte->dirty = true; }", False),
-    ("NL001", "src/policy/ok.cc", "void f(Pte* pte) { bool d = pte->dirty; (void)d; }", False),
-    ("NL002", "src/nomad/bad.cc", "void f(int x) { assert(x > 0); }", True),
-    ("NL002", "src/nomad/ok.cc",
-     "void f(int x) { NOMAD_CHECK(x > 0, \"x=\", x); static_assert(1 + 1 == 2); }", False),
-    ("NL003", "src/policy/bad.cc", "int f() { return std::rand(); }", True),
-    ("NL003", "src/sim/bad.cc", "std::mt19937 gen;", True),
-    ("NL003", "src/workload/bad.cc",
-     "auto t = std::chrono::steady_clock::now();", True),
-    ("NL003", "src/workload/ok.cc", "Cycles finish_time() { return t_; }", False),
-    ("NL004", "src/mm/bad.cc", 'void f(C& c) { c.counters().Add("migrate.promote", 1); }', True),
-    ("NL004", "src/mm/ok.cc", "void f(C& c) { c.counters().Add(cnt::kTlbShootdown, 1); }", False),
-    ("NL004", "src/nomad/bad_hist.cc",
-     'void f(M& ms) { ms.hists().Record("migration.latency", 5); }', True),
-    ("NL004", "src/nomad/ok_hist.cc",
-     "void f(M& ms) { ms.hists().Record(hist::kMigrationLatency, 5); }", False),
-    ("NL004", "src/policy/bad_span.cc",
-     "void f(P& p) { ProfScope s(p, static_cast<ProfNode>(3)); }", True),
-    ("NL004", "src/obs/ok_span.cc",
-     "for (uint8_t i = 0; i < kNumProfNodes; i++) Use(static_cast<ProfNode>(i));", False),
-    ("NL005", "src/nomad/bad.cc", "int* p = new int[4];", True),
-    ("NL005", "src/nomad/bad2.cc", "void f(int* p) { delete p; }", True),
-    ("NL005", "src/nomad/ok.cc",
-     "auto p = std::make_unique<int>(3); X(const X&) = delete;", False),
-    ("NL005", "src/nomad/ok2.cc", "// a new frame\nconst Pfn new_pfn = 3;", False),
-    ("NL006", "src/mm/bad.h", "#ifndef WRONG_GUARD_H_\n#define WRONG_GUARD_H_\n#endif", True),
-    ("NL006", "src/mm/good.h", "#ifndef SRC_MM_GOOD_H_\n#define SRC_MM_GOOD_H_\n#endif", False),
-    ("NL007", "src/mm/bad.cc", "#include <iostream>", True),
-    ("NL007", "src/harness/ok.cc", "#include <iostream>", False),
-    ("NL007", "src/mm/ok.cc", "#include <sstream>", False),
-    ("NL008", "src/policy/bad_router.cc",
-     "void f(ShardRouter& r) { r.Send(0, 1, kShardMsgUser); }", True),
-    ("NL008", "src/sim/shard.cc",
-     "void ShardRouter::Send(uint32_t from, uint32_t to, uint32_t kind) {}", False),
-    ("NL008", "src/harness/sharded_sim.cc",
-     "void f(ShardBarrier& b) { b.ArriveAndWait(); }", False),
-    ("NL008", "src/nomad/bad_mut.cc",
-     "void f(std::vector<S>& shards, int peer) { shards[peer].done = true; }", True),
-    ("NL008", "src/policy/bad_mut2.cc",
-     "void f(std::vector<Sim*>& sims, int peer) { sims[peer]->stop = 1; }", True),
-    ("NL008", "src/policy/ok_read.cc",
-     "bool f(const std::vector<S>& shards, int s) { return shards[s].done == true; }",
-     False),
-    ("NL008", "bench/ok_highlevel.cc",
-     "void f() { ShardedRunConfig cfg; RunShardedMicro(cfg); }", False),
-    ("NL009", "src/policy/bad_flags.cc",
-     "uint32_t m() { return frame_flags::kActive | frame_flags::kReferenced; }", True),
-    ("NL009", "src/nomad/bad_word.cc",
-     "void f(FrameTable& t, Pfn p) { t.flags_[p] |= 4u; }", True),
-    ("NL009", "src/policy/bad_word2.cc",
-     "void f(std::vector<uint32_t>& flags_, Pfn p) { flags_[p] = 0; }", True),
-    ("NL009", "src/mm/ok_flags.cc",
-     "void f(FrameTable& t, Pfn p) { t.flags_[p] |= frame_flags::kActive; }", False),
-    ("NL009", "src/policy/ok_accessor.cc",
-     "void f(PageFrame f) { f.set_active(true); bool a = f.active(); (void)a; }", False),
-    ("NL009", "src/check/ok_read.cc",
-     "uint32_t f(const FrameTable& t) { return t.flags_data()[0]; }", False),
-    ("NL010", "src/nomad/bad_admit.cc",
-     "AdmissionVerdict f() {\n  return AdmissionVerdict::kReject;\n}", True),
-    ("NL010", "src/nomad/bad_assign.cc",
-     "void f(AdmissionVerdict& v) { v = AdmissionVerdict::kDowngradeSync; }", True),
-    ("NL010", "src/nomad/ok_counted.cc",
-     "AdmissionVerdict f(C& c) {\n  c.counters().Add(cnt::kAdmissionReject, 1);\n"
-     "  return AdmissionVerdict::kReject;\n}", False),
-    ("NL010", "src/nomad/ok_recorded.cc",
-     "AdmissionVerdict f() {\n"
-     "  RecordVerdict(AdmissionVerdict::kDefer, AdmissionSource::kPromotion, 0);\n"
-     "  return AdmissionVerdict::kDefer;\n}", False),
-    ("NL010", "src/nomad/ok_traced.cc",
-     "AdmissionVerdict f(M& ms) {\n  ms.Trace(TraceEvent::kAdmissionVerdict, 0, 1);\n"
-     "  return AdmissionVerdict::kDefer;\n}", False),
-    ("NL010", "src/nomad/ok_case.cc",
-     "void f(AdmissionVerdict v) {\n  switch (v) {\n"
-     "    case AdmissionVerdict::kDefer:\n      break;\n  }\n}", False),
-    ("NL010", "src/nomad/ok_compare.cc",
-     "bool f(AdmissionVerdict v) { return v == AdmissionVerdict::kReject; }", False),
-    ("NL010", "src/policy/ok_outside.cc",
-     "int f() { return 0; }", False),
-    ("NL011", "src/nomad/bad_mutex.h",
-     "class Queue {\n public:\n  void Push(int v);\n private:\n"
-     "  std::mutex mu_;\n  std::vector<int> items_;\n};", True),
-    ("NL011", "src/obs/bad_atomic.h",
-     "class Gauge {\n private:\n  std::atomic<uint64_t> value_ = 0;\n};", True),
-    ("NL011", "src/harness/bad_barrier.h",
-     "struct Phase {\n  ShardBarrier barrier;\n  uint64_t epoch = 0;\n};", True),
-    ("NL011", "src/nomad/bad_condvar.h",
-     "class Waiter {\n  Mutex mu_;\n  CondVar cv_;\n  bool ready_ = false;\n};", True),
-    ("NL011", "src/nomad/ok_guarded.h",
-     "class Queue {\n private:\n  Mutex mu_;\n"
-     "  std::vector<int> items_ NOMAD_GUARDED_BY(mu_);\n};", False),
-    ("NL011", "src/obs/ok_confined.h",
-     "class NOMAD_SHARD_CONFINED Gauge {\n private:\n"
-     "  std::atomic<uint64_t> value_ = 0;\n};", False),
-    ("NL011", "src/base/ok_vocabulary.h",
-     "class Mutex {\n private:\n  std::mutex mu_;\n};", False),
-    ("NL011", "src/nomad/ok_plain.h",
-     "class Plain {\n private:\n  uint64_t value_ = 0;\n};", False),
-    ("NL012", "src/harness/bad_channel.cc",
-     'void f(Timeline& t) { pcq_ = t.Channel("pcq.depth"); }', True),
-    ("NL012", "src/harness/bad_nested.cc",
-     'void f(Timeline& t) { t.Set(t.Channel("tier.fast.free_frames"), 1); }', True),
-    ("NL012", "src/harness/ok_const.cc",
-     "void f(Timeline& t) { pcq_ = t.Channel(tl::kPcqDepth); }", False),
-    ("NL012", "src/harness/ok_derived.cc",
-     'void f(Timeline& t, const std::string& name) {\n'
-     '  t.SetDelta(t.Channel("cnt." + name), 1);\n'
-     '  t.Set(t.Channel("hist." + name + ".p50"), 2);\n}', False),
-    ("NL012", "tools/ok_variable.cc",
-     "void f(Timeline& t, const std::string& ch) { t.Channel(ch); }", False),
-]
-
-
-def selftest():
-    failures = 0
-    for rule_id, rel, code, expect in SELFTEST_CASES:
-        f = SourceFile("<selftest>/" + rel, rel, code + "\n")
-        got = [x for x in run_token_rules([f]) if x.rule == rule_id]
-        ok = bool(got) == expect
-        print("%s %s on %-22s (%s)" % (
-            "ok  " if ok else "FAIL", rule_id, rel,
-            "fires" if expect else "quiet"))
-        if not ok:
-            failures += 1
-            for g in got:
-                print("    unexpected: %s" % g)
-    if failures:
-        print("SELFTEST FAILED: %d case(s)" % failures)
-        return 1
-    print("selftest passed: %d cases" % len(SELFTEST_CASES))
-    return 0
-
-
-def main(argv):
-    root = "."
-    backend = "auto"
-    compdb = "build"
-    explicit = []
-    do_selftest = False
-    for arg in argv[1:]:
-        if arg == "--selftest":
-            do_selftest = True
-        elif arg == "--list-rules":
-            for rid, desc, _ in TOKEN_RULES:
-                print("%s  %s" % (rid, desc))
-            return 0
-        elif arg.startswith("--root="):
-            root = arg.split("=", 1)[1]
-        elif arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
-        elif arg.startswith("--compdb="):
-            compdb = arg.split("=", 1)[1]
-        elif arg.startswith("--"):
-            print(__doc__, file=sys.stderr)
-            return 2
-        else:
-            explicit.append(arg)
-
-    if do_selftest:
-        return selftest()
-
-    paths = [os.path.join(root, p) if not os.path.isabs(p) else p for p in explicit]
-    files = load(root, paths or discover(root))
-    findings = run_token_rules(files)
-
-    cindex = try_import_clang() if backend in ("auto", "clang") else None
-    if backend == "clang" and cindex is None:
-        print("nomad_lint: --backend=clang requested but clang.cindex is not "
-              "importable (install python3-clang)", file=sys.stderr)
-        return 2
-    if cindex is not None:
-        seen = {(x.rel, x.line, x.rule) for x in findings}
-        for x in clang_findings(files, os.path.join(root, compdb), cindex):
-            if (x.rel, x.line, x.rule) not in seen:
-                findings.append(x)
-
-    findings.sort(key=lambda x: (x.rel, x.line, x.rule))
-    for x in findings:
-        print(x)
-    engine = "token+clang" if cindex is not None else "token"
-    print("nomad_lint: %d file(s), %d finding(s), engine=%s" % (
-        len(files), len(findings), engine), file=sys.stderr)
-    return 1 if findings else 0
-
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                                "nomad_check"))
+import nomad_check  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(nomad_check.lint_main(sys.argv[1:]))
