@@ -13,7 +13,7 @@
 //                                is the classic run itself, byte for byte
 //   --threads=N          [1]     OS worker threads in sharded mode
 //   --epoch=CYCLES       [500000] virtual-time barrier interval (sharded, > 0)
-//   --ops=N              [60000] total database operations
+//   --ops=N              [60000] total database operations (>= 1 per shard)
 //   --platform=C|D|both  [both]
 //   --policy=...         [all]   restrict to one policy
 //   --placement=thrashing|normal|both  [both]
@@ -23,6 +23,7 @@
 //                                on these)
 //   --timeline_interval=CYCLES [500000] sampling cadence (with more than
 //                                one shard, rounded up to whole epochs)
+#include <algorithm>
 #include <iostream>
 #include <string>
 
@@ -31,6 +32,8 @@
 #include "src/harness/sharded_sim.h"
 
 using namespace nomad;
+
+constexpr uint64_t kPaperRecords = 20000000;  // the paper's Redis dataset
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -63,6 +66,19 @@ int main(int argc, char** argv) {
   }
   if (scale == 0) {
     std::cerr << "usage: fig14_redis_large [--scale=N]: --scale must be > 0\n";
+    return 2;
+  }
+  // Each shard serves its own slice of the records and of the ops; a shard
+  // without either has nothing to run.
+  const uint64_t run_shards = std::max<uint32_t>(shards, 1);
+  if (total_ops / run_shards == 0) {
+    std::cerr << "usage: fig14_redis_large [--ops=N] [--shards=N]: every shard needs at least "
+                 "one op\n";
+    return 2;
+  }
+  if (kPaperRecords / scale / run_shards == 0) {
+    std::cerr << "usage: fig14_redis_large [--scale=N] [--shards=N]: every shard needs at "
+                 "least one record\n";
     return 2;
   }
 
@@ -106,7 +122,7 @@ int main(int argc, char** argv) {
         cfg.platform = platform;
         cfg.policy = policy;
         cfg.scale_denom = scale;
-        cfg.record_count = 20000000 / scale;  // 20M paper records
+        cfg.record_count = kPaperRecords / scale;
         cfg.demote_first = thrashing;
         cfg.slow_gb = 64.0;  // large capacity tier (256 GB-class devices)
         cfg.total_ops = total_ops;

@@ -4,8 +4,8 @@
 // Two kinds of shared state exist in this tree, and each gets its own
 // statically checkable marking:
 //
-//  1. *Lock-protected* state — the cross-shard seams (ShardRouter mailbox
-//     pairs, the ShardBarrier phase fields). These carry Clang
+//  1. *Lock-protected* state — the ShardBarrier phase fields, and the
+//     process-wide Zeta cache that shards share at set-up. These carry Clang
 //     thread-safety capability attributes: the mutex is declared a
 //     capability (NOMAD_CAPABILITY), the fields it protects are
 //     NOMAD_GUARDED_BY it, and the accessors spell their locking protocol
@@ -18,14 +18,15 @@
 //  2. *Shard-confined* state — everything a Sim owns (MemorySystem, frame
 //     pool, counters, trace sink, PCQ, admission controller, ...). These
 //     are single-threaded by construction: exactly one worker thread
-//     drives a shard during an epoch, and cross-shard communication goes
-//     through ShardRouter messages only. No mutex exists to annotate, so
+//     drives a shard during an epoch, and shards exchange nothing: the
+//     lockstep controller reads each shard's report record only inside
+//     the epoch barrier's completion. No mutex exists to annotate, so
 //     the marking is NOMAD_SHARD_CONFINED — an `annotate` attribute on
 //     clang (visible to AST tools), nothing on other compilers — which
 //     seeds tools/nomad_analyze's ownership map. The analyzer rejects
-//     pointers to confined state escaping into ShardMsg payloads,
-//     cross-thread lambdas, or static storage, and cross-shard mutation
-//     outside the lockstep runtime's epoch/drain entry points.
+//     pointers to confined state escaping into cross-thread lambdas or
+//     static storage, and cross-shard access outside the lockstep
+//     runtime's entry points.
 //
 // Every macro compiles to nothing on non-Clang compilers (and under
 // SWIG-style tooling that chokes on GNU attributes), so GCC builds see
@@ -101,9 +102,8 @@
 // Marks a class whose instances belong to exactly one shard (or to the
 // single-threaded setup/merge phases): only the worker thread currently
 // driving the owning shard may touch them, and pointers/references to them
-// must never cross a shard boundary — not through ShardMsg payloads, not
-// through by-reference lambda captures handed to other threads, not
-// through static storage. There is no runtime token to check, so the
+// must never cross a shard boundary — not through by-reference lambda
+// captures handed to other threads, not through static storage. There is no runtime token to check, so the
 // attribute exists for tools: clang records it in the AST (an `annotate`
 // attribute), and tools/nomad_analyze seeds its ownership map from it,
 // then closes the map over the marked classes' member object graphs

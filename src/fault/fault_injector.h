@@ -37,7 +37,7 @@ enum class FaultKind : uint8_t {
   // Shard-aware kinds, consulted once per (shard, epoch) by the lockstep
   // harness from the shard's own injector, so decisions stay independent
   // of the worker-thread count.
-  kShardDelay,      // cross-shard message delivery slips one epoch
+  kShardDelay,      // the shard's reports reach the controller one epoch late
   kShardStall,      // the shard stalls at the barrier: no virtual progress
   kAllocFailWave,   // arms a burst window of kAllocFail on this shard
   kNumKinds,

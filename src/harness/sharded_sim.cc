@@ -8,6 +8,7 @@
 #include "src/check/check.h"
 #include "src/check/invariants.h"
 #include "src/obs/event_registry.h"
+#include "src/sim/shard.h"
 #include "src/workload/kvstore.h"
 #include "src/workload/liblinear.h"
 #include "src/workload/micro.h"
@@ -40,15 +41,34 @@ bool WorkloadsDone(const Sim& sim) {
 // Controller state, written by the epoch barrier's completion callback and
 // read by every worker after release; the barrier's mutex provides the
 // happens-before edges in both directions. Confined to the barrier
-// callback (shard 0's logical owner), not lock-annotated: the protecting
-// mutex is ShardBarrier's private internals.
+// callback, not lock-annotated: the protecting mutex is ShardBarrier's
+// private internals.
 struct NOMAD_SHARD_CONFINED Control {
   uint64_t total_ops = 0;
-  uint64_t messages = 0;
-  uint32_t done_shards = 0;
+  uint64_t reports = 0;  // progress and done reports the controller read
   uint64_t epochs = 0;
   uint64_t watchdog_stalls = 0;
   bool stop = false;
+};
+
+// One shard as the lockstep controller sees it. The worker that owns the
+// shard writes its reports during an epoch; the barrier callback takes
+// them and keeps the watchdog fields while every worker waits, so the
+// barrier mutex orders every access in both directions.
+struct NOMAD_SHARD_CONFINED ShardRecord {
+  Sim* sim = nullptr;
+  uint64_t reported_ops = 0;  // the shard's ops as of its last report
+  // Reports the controller has not taken yet, and the ops they carry. The
+  // shard reports progress in each epoch that completed ops, and done once.
+  uint64_t reports = 0;
+  uint64_t report_ops = 0;
+  bool handed_over = false;  // the reports go to the controller this epoch
+  bool done = false;
+  // Watchdog: the epoch count when the controller last took a report, the
+  // open stall verdict, and a verdict the shard has yet to surface.
+  uint64_t last_progress = 0;
+  bool stalled = false;
+  uint64_t stall_pending = 0;
 };
 
 // The lockstep epoch engine shared by every sharded benchmark. Each of T
@@ -56,67 +76,57 @@ struct NOMAD_SHARD_CONFINED Control {
 // and builds them, in that order, with `build` (which returns the shard's
 // Sim) before its first epoch. A worker never reads another worker's
 // shards, and the end-of-epoch-0 barrier orders every build before the
-// first drain, so building needs no barrier of its own. With T == 1 the
-// calling thread builds every shard in shard order.
+// controller's first read, so building needs no barrier of its own. With
+// T == 1 the calling thread builds every shard in shard order.
 //
 // An epoch ends at ONE phase-flip barrier: whichever worker arrives last
-// drains the router and updates the controller inside the barrier's
-// completion callback (under the barrier mutex, before any waiter is
-// released), so no second barrier crossing is needed. Messages are staged
-// lock-free per sender during the epoch and flushed per (sender, dest) run
-// before arriving. `on_epoch` runs after a shard's engine reaches the
-// epoch boundary and may inspect that shard only (benchmark-specific
-// snapshots live there).
+// reads every shard's record, in shard-id order, and updates the controller
+// inside the barrier's completion callback (under the barrier mutex, before
+// any waiter is released), so no second barrier crossing is needed.
+// `on_epoch` runs after a shard's engine reaches the epoch boundary and may
+// inspect that shard only (benchmark-specific snapshots live there).
 Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
                     uint32_t exec_threads, Cycles epoch_cycles, uint64_t max_epochs,
-                    ShardRouter& router, const std::function<void(uint32_t, uint64_t)>& on_epoch,
+                    const std::function<void(uint32_t, uint64_t)>& on_epoch,
                     uint64_t watchdog_stall_epochs = 0) {
   const uint32_t T = std::max<uint32_t>(1, std::min<uint32_t>(exec_threads, S));
   ShardBarrier barrier(T);
   Control ctrl;
-  std::vector<Sim*> sims(S, nullptr);  // sims[s] is written by its owning worker
-  std::vector<uint64_t> last_reported(S, 0);
-  std::vector<char> done(S, 0);
-  // Watchdog state. last_progress / stalled are written only inside the
-  // barrier callback; stall_pending[s] is written there and cleared by the
-  // worker that owns shard s after the barrier releases — the barrier
-  // mutex provides both happens-before edges.
-  std::vector<uint64_t> last_progress(S, 0);
-  std::vector<char> stalled(S, 0);
-  std::vector<uint64_t> stall_pending(S, 0);
+  std::vector<ShardRecord> records(S);
 
   auto worker = [&](uint32_t t) {
     for (uint32_t s = t; s < S; s += T) {
-      sims[s] = &build(s);
+      records[s].sim = &build(s);
     }
     for (uint64_t epoch = 0;; epoch++) {
       const Cycles epoch_end = (epoch + 1) * epoch_cycles;
       for (uint32_t s = t; s < S; s += T) {
-        if (done[s]) {
+        ShardRecord& rec = records[s];
+        if (rec.done) {
           continue;
         }
-        Sim& sim = *sims[s];
+        Sim& sim = *rec.sim;
         // Surface last epoch's watchdog verdict from the owning shard so
         // the trace record carries the shard's own virtual clock and the
         // counter lands in the shard's own CounterSet (deterministic for
-        // any T: the verdict was computed from drained messages only).
-        if (stall_pending[s] != 0) {
-          sim.ms().Trace(TraceEvent::kWatchdogStall, epoch, stall_pending[s]);
+        // any T: the verdict was computed from the shard's reports only).
+        if (rec.stall_pending != 0) {
+          sim.ms().Trace(TraceEvent::kWatchdogStall, epoch, rec.stall_pending);
           sim.ms().counters().Add(cnt::kWatchdogStall, 1);
-          stall_pending[s] = 0;
+          rec.stall_pending = 0;
         }
         // Shard-aware chaos, one consult per (shard, epoch) from the
         // shard's OWN injector: the decision stream depends only on the
         // shard's seed and epoch count, never on thread assignment.
         bool stall = false;
-        bool delay_sends = false;
+        bool delay_reports = false;
         if (FaultInjector* fi = sim.ms().faults(); fi != nullptr) {
           if (fi->ShouldInject(FaultKind::kShardStall)) {
             stall = true;
             sim.ms().counters().Add(cnt::kFaultInjShardStall, 1);
           }
           if (fi->ShouldInject(FaultKind::kShardDelay)) {
-            delay_sends = true;
+            delay_reports = true;
             sim.ms().counters().Add(cnt::kFaultInjShardDelay, 1);
           }
           if (fi->ShouldInject(FaultKind::kAllocFailWave)) {
@@ -132,7 +142,8 @@ Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
         }
         if (stall) {
           // The shard parks at the barrier without advancing virtual time
-          // this epoch — the livelock shape the watchdog exists to flag.
+          // or handing over a report this epoch: the livelock shape the
+          // watchdog exists to flag.
           continue;
         }
         sim.engine().Run(epoch_end);
@@ -140,61 +151,53 @@ Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
           on_epoch(s, epoch);
         }
         const uint64_t ops = OpsDone(sim);
-        if (ops > last_reported[s]) {
-          router.Stage(s, 0, kShardMsgProgress, ops - last_reported[s], epoch_end);
-          last_reported[s] = ops;
+        if (ops > rec.reported_ops) {
+          rec.reports++;
+          rec.report_ops += ops - rec.reported_ops;
+          rec.reported_ops = ops;
         }
-        bool finished = false;
-        if (WorkloadsDone(sim)) {
-          done[s] = 1;
-          finished = true;
-          router.Stage(s, 0, kShardMsgDone, ops, sim.engine().now());
+        rec.done = WorkloadsDone(sim);
+        if (rec.done) {
+          rec.reports++;
         }
-        // kShardDelay: staged messages sit in the sender row one extra
-        // epoch (staging rows are persistent, so they flush — in staging
-        // order, keeping (sender, seq) intact — on the next pass). A shard
-        // finishing this epoch is skipped forever after, so its sends must
-        // flush now regardless or they would never be delivered.
-        if (!delay_sends || finished) {
-          router.FlushSends(s);
-        }
+        // kShardDelay: the shard keeps its reports one more epoch, and they
+        // go with its next hand-over. A finishing shard is skipped forever
+        // after, so it hands over at once regardless.
+        rec.handed_over = !delay_reports || rec.done;
       }
       barrier.ArriveAndWait([&] {
         // Runs exactly once per epoch, by the last arriver, under the
-        // barrier mutex: every worker's sends happen-before this, and the
+        // barrier mutex: every worker's reports happen-before this, and the
         // control update happens-before every worker's post-barrier read.
-        // Drain order is (sender id, seq), independent of which thread
-        // runs this or how shards were assigned to threads.
-        router.Drain(0, [&](const ShardMsg& m) {
-          ctrl.messages++;
-          if (m.kind == kShardMsgProgress) {
-            ctrl.total_ops += m.a;
-            last_progress[m.from] = epoch + 1;
-            stalled[m.from] = 0;
-          } else if (m.kind == kShardMsgDone) {
-            ctrl.done_shards++;
-            last_progress[m.from] = epoch + 1;
-            stalled[m.from] = 0;
+        // The fold is a sum and per-shard state, so neither the thread that
+        // runs it nor the shards' assignment to threads can change it.
+        uint32_t done_shards = 0;
+        for (ShardRecord& rec : records) {
+          if (rec.handed_over && rec.reports > 0) {
+            ctrl.reports += rec.reports;
+            ctrl.total_ops += rec.report_ops;
+            rec.reports = 0;
+            rec.report_ops = 0;
+            rec.last_progress = epoch + 1;
+            rec.stalled = false;
           }
-        });
-        ctrl.epochs = epoch + 1;
-        if (watchdog_stall_epochs > 0) {
-          // Livelock detection on the drained stream only: a live shard
-          // whose last progress report is too old is stalled. Edge-
-          // triggered — one verdict per stall episode, re-armed by the
-          // next progress message.
-          for (uint32_t s = 0; s < S; s++) {
-            const uint64_t quiet = epoch + 1 - last_progress[s];
-            if (!done[s] && !stalled[s] && quiet >= watchdog_stall_epochs) {
-              stalled[s] = 1;
-              stall_pending[s] = quiet;
-              ctrl.watchdog_stalls++;
-            }
+          rec.handed_over = false;
+          done_shards += rec.done ? 1 : 0;
+          // Livelock detection on the reports only: a live shard whose
+          // last report is too old is stalled. Edge-triggered — one
+          // verdict per stall episode, re-armed by the next report.
+          const uint64_t quiet = epoch + 1 - rec.last_progress;
+          if (watchdog_stall_epochs > 0 && !rec.done && !rec.stalled &&
+              quiet >= watchdog_stall_epochs) {
+            rec.stalled = true;
+            rec.stall_pending = quiet;
+            ctrl.watchdog_stalls++;
           }
         }
+        ctrl.epochs = epoch + 1;
         NOMAD_CHECK(epoch < max_epochs, "sharded run exceeded max_epochs=", max_epochs,
-                    " done_shards=", ctrl.done_shards, " of ", S);
-        ctrl.stop = ctrl.done_shards == S;
+                    " done_shards=", done_shards, " of ", S);
+        ctrl.stop = done_shards == S;
       });
       if (ctrl.stop) {
         return;
@@ -401,14 +404,13 @@ Control RunShards(const Plan& plan, std::vector<Shard>& shards, const BuildShard
     return ctrl;
   }
   const uint64_t sample_epochs = plan.timeline_interval > 0 ? SampleEpochs(plan) : 0;
-  ShardRouter router(plan.shards);
   return RunLockstep(
       plan.shards,
       [&](uint32_t s) -> Sim& {
         build(s, shards[s]);
         return *shards[s].sim;
       },
-      plan.exec_threads, plan.epoch_cycles, plan.max_epochs, router,
+      plan.exec_threads, plan.epoch_cycles, plan.max_epochs,
       [&](uint32_t s, uint64_t epoch) {
         Shard& sh = shards[s];
         if (!sh.half_snapped && OpsDone(*sh.sim) * 2 >= sh.total_ops) {
@@ -449,7 +451,7 @@ ShardedAppResult RunApps(const Plan& plan, const BuildShard& build, MetricsColle
   const Control ctrl = RunShards(plan, shards, build);
   ShardedAppResult result;
   result.total_ops = ctrl.total_ops;
-  result.messages = ctrl.messages;
+  result.messages = ctrl.reports;
   result.epochs = ctrl.epochs;
   uint64_t ops_sum = 0;
   for (uint32_t s = 0; s < plan.shards; s++) {
@@ -532,7 +534,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
   // --- merge, strictly in shard-id order ---
   ShardedRunResult result;
   result.total_ops = ctrl.total_ops;
-  result.messages = ctrl.messages;
+  result.messages = ctrl.reports;
   result.epochs = ctrl.epochs;
   result.watchdog_stalls = ctrl.watchdog_stalls;
   for (uint32_t s = 0; s < S; s++) {
@@ -561,7 +563,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
     if (cfg.audit) {
       // Quiescence audit: with every worker joined and the shard's engine
       // drained, each shard must independently satisfy the full invariant
-      // suite — cross-shard messages must not have corrupted owned state.
+      // suite: no other shard's worker may have touched its owned state.
       InvariantChecker checker(&sim.ms());
       checker.AddSpace(&sim.as());
       if (NomadPolicy* nomad = sim.nomad()) {

@@ -11,9 +11,10 @@
 // the configured ops for the first-half snapshot, the timeline (when on)
 // is an engine actor sampling at the exact interval, and the run ends as
 // soon as the workloads finish. More shards advance in lockstep virtual-
-// time epochs on a pool of OS worker threads and communicate exclusively
-// through the ShardRouter (see src/sim/shard.h for the determinism
-// argument). Each worker builds the shards it owns before its first epoch.
+// time epochs on a pool of OS worker threads. Shards exchange nothing: at
+// each epoch barrier the controller reads one report record per shard, in
+// shard-id order (see src/sim/shard.h for the determinism argument). Each
+// worker builds the shards it owns before its first epoch.
 // Worker threads are an execution detail — any --threads value
 // produces byte-identical metrics, which scripts/check_determinism.py
 // --threads-compare enforces.
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "src/harness/run.h"
-#include "src/sim/shard.h"
 
 namespace nomad {
 
@@ -60,11 +60,12 @@ struct ShardedRunConfig {
   // fault decision a pure function of (shard seed, epoch) — independent of
   // exec_threads. A one-shard run has no epochs, so it never consults them.
   std::function<void(uint32_t shard, Sim& sim)> shard_setup;
-  // Deterministic livelock watchdog: a live shard that reports no progress
-  // for this many consecutive epochs is declared stalled — the detection
-  // runs in the barrier's drain callback on the drained message stream
-  // only, and the verdict is surfaced by the owning shard as a
-  // kWatchdogStall trace event plus the watchdog.stall counter. 0 = off.
+  // Deterministic livelock watchdog: a live shard whose reports stop
+  // reaching the controller for this many consecutive epochs is declared
+  // stalled. The detection runs in the barrier's completion callback on
+  // the shards' reports only, and the verdict is surfaced by the owning
+  // shard as a kWatchdogStall trace event plus the watchdog.stall counter.
+  // 0 = off.
   uint64_t watchdog_stall_epochs = 0;
 };
 
@@ -72,7 +73,10 @@ struct ShardedRunResult {
   std::vector<MicroRunResult> per_shard;  // in shard-id order
   uint64_t total_ops = 0;      // ops done (lockstep: the controller's count)
   uint64_t epochs = 0;         // lockstep epochs executed (0 with one shard)
-  uint64_t messages = 0;       // cross-shard messages drained
+  // Reports the lockstep controller read: one progress report per shard
+  // per epoch that completed ops, plus one done report per shard (0 with
+  // one shard).
+  uint64_t messages = 0;
   Cycles max_virtual_time = 0; // slowest shard's final clock
   double aggregate_gbps = 0;   // sum of per-shard overall bandwidth
   uint64_t invariant_violations = 0;  // only populated when cfg.audit
@@ -104,7 +108,7 @@ struct ShardedAppResult {
   std::vector<AppRunResult> per_shard;  // in shard-id order
   uint64_t total_ops = 0;
   uint64_t epochs = 0;
-  uint64_t messages = 0;
+  uint64_t messages = 0;  // reports the controller read, as in ShardedRunResult
   Cycles max_virtual_time = 0;
   double aggregate_ops_per_sec = 0;  // total ops over the slowest shard's runtime
 };

@@ -1,78 +1,6 @@
 #include "src/sim/shard.h"
 
-#include "src/check/check.h"
-
 namespace nomad {
-
-ShardRouter::ShardRouter(uint32_t num_shards)
-    : num_shards_(num_shards),
-      pairs_(static_cast<size_t>(num_shards) * num_shards),
-      rows_(num_shards) {
-  NOMAD_CHECK(num_shards > 0, "router needs at least one shard");
-}
-
-void ShardRouter::Send(uint32_t from, uint32_t to, uint32_t kind, uint64_t a, uint64_t b) {
-  NOMAD_CHECK(from < num_shards_ && to < num_shards_, "shard id out of range, from=", from,
-              " to=", to, " shards=", num_shards_);
-  Pair& p = pair(from, to);
-  MutexLock lock(p.mu);
-  p.fifo.push_back(ShardMsg{from, kind, p.next_seq++, a, b});
-}
-
-void ShardRouter::Stage(uint32_t from, uint32_t to, uint32_t kind, uint64_t a, uint64_t b) {
-  NOMAD_CHECK(from < num_shards_ && to < num_shards_, "shard id out of range, from=", from,
-              " to=", to, " shards=", num_shards_);
-  rows_[from].staged.push_back(StagedMsg{to, kind, a, b});
-}
-
-void ShardRouter::FlushSends(uint32_t from) {
-  NOMAD_CHECK(from < num_shards_, "shard id out of range, from=", from);
-  std::vector<StagedMsg>& staged = rows_[from].staged;
-  // Coalesce each run of consecutive same-destination messages into one
-  // lock acquisition. Staging order fixes the per-pair sequence numbers,
-  // so the drained stream is identical to per-message Send.
-  size_t i = 0;
-  while (i < staged.size()) {
-    const uint32_t to = staged[i].to;
-    size_t j = i;
-    while (j < staged.size() && staged[j].to == to) {
-      j++;
-    }
-    Pair& p = pair(from, to);
-    MutexLock lock(p.mu);
-    for (size_t k = i; k < j; k++) {
-      p.fifo.push_back(ShardMsg{from, staged[k].kind, p.next_seq++, staged[k].a, staged[k].b});
-    }
-    i = j;
-  }
-  staged.clear();
-}
-
-void ShardRouter::Drain(uint32_t to, const std::function<void(const ShardMsg&)>& fn) {
-  NOMAD_CHECK(to < num_shards_, "shard id out of range, to=", to);
-  std::vector<ShardMsg> batch;
-  for (uint32_t from = 0; from < num_shards_; from++) {
-    Pair& p = pair(from, to);
-    {
-      MutexLock lock(p.mu);
-      batch.swap(p.fifo);
-    }
-    for (const ShardMsg& m : batch) {
-      fn(m);
-    }
-    batch.clear();
-  }
-}
-
-uint64_t ShardRouter::PendingFor(uint32_t to) const {
-  uint64_t n = 0;
-  for (uint32_t from = 0; from < num_shards_; from++) {
-    const Pair& p = pair(from, to);
-    MutexLock lock(p.mu);
-    n += p.fifo.size();
-  }
-  return n;
-}
 
 void ShardBarrier::ArriveAndWait(const std::function<void()>& on_complete) {
   MutexLock lock(mu_);

@@ -1,129 +1,43 @@
-// Deterministic sharding primitives for the parallel simulation engine.
+// The epoch barrier of the parallel simulation engine.
 //
 // A sharded run partitions the machine into fixed logical shards (per-NUMA-
 // node or per-address-space), each owning a complete single-threaded Sim:
 // its own Engine, MemorySystem, frame pool, LRUs, and shard-local daemon
-// actors (kswapd, kpromote, the PCQ). Shards advance in lockstep epochs of
-// virtual time and exchange information ONLY through ShardRouter messages,
-// which are produced during an epoch and drained at the epoch barrier in a
-// fixed total order: (sender shard id, per-pair sequence number). Because
-//  - shard-local state evolves as a pure function of (config, seed, drained
-//    messages), and
-//  - the drain order and the epoch schedule are independent of how shards
-//    are assigned to OS threads,
+// actors (kswapd, kpromote, the PCQ). As on the paper's machine, where each
+// NUMA node runs its own kswapd and kpromote, shards exchange nothing. They
+// advance in lockstep epochs of virtual time, and at each epoch barrier the
+// controller reads one report record per shard, in shard-id order (see
+// RunLockstep in src/harness/sharded_sim.cc). Because
+//  - shard-local state evolves as a pure function of (config, seed) and of
+//    the watchdog's verdicts on that shard, which the controller derives
+//    from that shard's own reports, and
+//  - the controller's fold over the records and the epoch schedule are
+//    independent of how shards are assigned to OS threads,
 // the simulation output is byte-identical for any --threads value,
 // including 1. scripts/check_determinism.py enforces exactly this.
 //
 // The rule that no shard may touch another shard's owned state (page
-// tables, frame pools, LRU lists) outside these message APIs is enforced
-// statically at two levels: tools/nomad_lint rule NL008 (token heuristics)
-// and tools/nomad_analyze (AST ownership/escape analysis over the
-// NOMAD_SHARD_CONFINED object graph). The mailbox and barrier internals
-// here carry Clang thread-safety capability annotations, checked by the
-// -Wthread-safety -Werror clang CI build.
+// tables, frame pools, LRU lists) is enforced statically at two levels:
+// tools/nomad_lint rule NL008 (token heuristics) and tools/nomad_analyze
+// (AST ownership/escape analysis over the NOMAD_SHARD_CONFINED object
+// graph). The barrier's internals carry Clang thread-safety capability
+// annotations, checked by the -Wthread-safety -Werror clang CI build.
 #ifndef SRC_SIM_SHARD_H_
 #define SRC_SIM_SHARD_H_
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "src/base/annotations.h"
 #include "src/base/mutex.h"
 
 namespace nomad {
 
-// One cross-shard message. Plain data: payloads with richer structure are
-// encoded into (kind, a, b) by the sender and decoded by the receiver.
-struct ShardMsg {
-  uint32_t from = 0;  // sender shard id
-  uint32_t kind = 0;  // application-defined discriminator
-  uint64_t seq = 0;   // per-(sender, receiver) FIFO sequence, from 0
-  uint64_t a = 0;
-  uint64_t b = 0;
-};
-
-// Message kinds used by the sharded harness. User code may define its own
-// kinds above kShardMsgUser.
-enum : uint32_t {
-  kShardMsgProgress = 1,  // a = ops completed this epoch, b = local time
-  kShardMsgDone = 2,      // a = total ops completed, b = final local time
-  kShardMsgUser = 100,
-};
-
-// S x S mailbox grid. Each (sender, receiver) pair has its own FIFO; a
-// sender only ever appends to its own row, a receiver drains its column at
-// an epoch barrier. Drain order is fixed — ascending sender id, then
-// sequence number — so the receiver observes an identical message stream
-// regardless of which OS threads ran the senders or in what real-time
-// order they arrived.
-class ShardRouter {
- public:
-  explicit ShardRouter(uint32_t num_shards);
-
-  uint32_t num_shards() const { return num_shards_; }
-
-  // Enqueues a message from shard `from` to shard `to`. Thread-safe per
-  // pair; called from the sender shard's worker thread during an epoch.
-  void Send(uint32_t from, uint32_t to, uint32_t kind, uint64_t a = 0, uint64_t b = 0);
-
-  // Stages a message from shard `from` without taking any lock. Staging
-  // rows are sender-owned: only the worker thread driving shard `from` may
-  // Stage for it, and it must call FlushSends(from) before the epoch
-  // barrier. Staged messages reach the mailboxes in staging order, so the
-  // (sender, seq) drain order is exactly what per-message Send would have
-  // produced.
-  void Stage(uint32_t from, uint32_t to, uint32_t kind, uint64_t a = 0, uint64_t b = 0);
-
-  // Moves shard `from`'s staged messages into the mailbox grid, taking each
-  // (from, dest) pair lock once per run of messages instead of once per
-  // message. Sequence numbers are assigned here, in staging order.
-  void FlushSends(uint32_t from);
-
-  // Drains every message addressed to `to`, invoking fn in (sender id,
-  // seq) order. Called by the receiver at an epoch barrier; senders must
-  // be parked at the barrier (the mutexes still make the handoff safe and
-  // TSan-visible). The pair lock is held only to swap the mailbox out, not
-  // across fn.
-  void Drain(uint32_t to, const std::function<void(const ShardMsg&)>& fn);
-
-  // Messages currently queued for `to` (diagnostics and tests). Staged but
-  // unflushed messages are not counted.
-  uint64_t PendingFor(uint32_t to) const;
-
- private:
-  struct Pair {
-    mutable Mutex mu;
-    std::vector<ShardMsg> fifo NOMAD_GUARDED_BY(mu);
-    uint64_t next_seq NOMAD_GUARDED_BY(mu) = 0;
-  };
-  struct StagedMsg {
-    uint32_t to;
-    uint32_t kind;
-    uint64_t a;
-    uint64_t b;
-  };
-  // One staging row per sender, owned by the worker thread driving that
-  // shard; no lock needed until FlushSends. Confinement (not a lock) is
-  // the protection, so the marking is NOMAD_SHARD_CONFINED and the
-  // checker is nomad_analyze, not -Wthread-safety.
-  struct NOMAD_SHARD_CONFINED SenderRow {
-    std::vector<StagedMsg> staged;
-  };
-  Pair& pair(uint32_t from, uint32_t to) { return pairs_[from * num_shards_ + to]; }
-  const Pair& pair(uint32_t from, uint32_t to) const {
-    return pairs_[from * num_shards_ + to];
-  }
-
-  uint32_t num_shards_;
-  std::vector<Pair> pairs_;
-  std::vector<SenderRow> rows_;
-};
-
 // Reusable generation-counting barrier for the epoch lockstep. All
 // participants must arrive before any is released; the release establishes
-// the happens-before edge that makes one shard's epoch-N state safely
-// readable (via drained messages) in every shard's epoch N+1.
+// the happens-before edge that makes every shard's epoch-N report readable
+// by the controller, and the controller's verdicts readable in every
+// shard's epoch N+1.
 class ShardBarrier {
  public:
   explicit ShardBarrier(uint32_t parties) : parties_(parties) {}
@@ -133,9 +47,8 @@ class ShardBarrier {
   // the barrier mutex, before any waiter is released: everything the
   // callback reads happens-after every participant's pre-barrier writes,
   // and everything it writes happens-before every participant's
-  // post-barrier reads. This is what lets a lockstep epoch run its drain +
-  // control update inside ONE barrier crossing instead of a drain phase
-  // sandwiched between two.
+  // post-barrier reads. This is what lets a lockstep epoch read the
+  // shards' reports and update the controller inside ONE barrier crossing.
   void ArriveAndWait(const std::function<void()>& on_complete = {});
 
  private:

@@ -7,8 +7,8 @@
 // unknown-attribute warnings. The stringification checks pin that down at
 // compile time. (2) The Mutex/MutexLock/CondVar wrappers must be faithful
 // stand-ins for std::mutex / std::lock_guard / std::condition_variable:
-// the conversion of ShardRouter/ShardBarrier to the annotated types
-// (src/sim/shard.cc) rides entirely on these semantics.
+// ShardBarrier (src/sim/shard.cc) and the Zeta cache
+// (src/workload/zipfian.cc) ride entirely on these semantics.
 #include "src/base/annotations.h"
 
 #include <gtest/gtest.h>
@@ -76,9 +76,8 @@ static_assert(std::is_trivially_copyable_v<MarkedProbe>,
               "NOMAD_SHARD_CONFINED must not break triviality");
 
 TEST(AnnotationsTest, AnnotatedDeclarationsCompileEverywhere) {
-  // A fully annotated miniature of the ShardRouter Pair pattern: guarded
-  // fields plus a requires-annotated helper. Exercises the macros in every
-  // position they are used in src/.
+  // A fully annotated miniature of a lock-guarded field: the macros in
+  // every position they are used in src/.
   class Guarded {
    public:
     void Add(uint64_t v) {

@@ -1,11 +1,17 @@
 // End-to-end tests for the runner: worker-thread count must never leak
 // into simulation results, shards must quiesce cleanly under the full
-// invariant suite, the lockstep accounting (epochs, messages, ops) must be
-// internally consistent, and a one-shard run must be the classic run.
+// invariant suite, the lockstep accounting (epochs, reports, ops) must be
+// internally consistent, delayed reports must arrive late and whole, and a
+// one-shard run must be the classic run.
 #include "src/harness/sharded_sim.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "src/fault/fault_injector.h"
+#include "src/obs/event_registry.h"
 #include "tests/harness/run_compare.h"
 
 namespace nomad {
@@ -54,18 +60,76 @@ TEST(ShardedSimTest, LockstepAccountingIsConsistent) {
   const ShardedRunResult r = RunShardedMicro(cfg);
 
   // Every shard finished all its ops and said so: the controller's
-  // message-accumulated total must equal the configured work.
+  // report-accumulated total must equal the configured work.
   const uint64_t per_shard_ops = cfg.base.total_ops / cfg.shards;
   EXPECT_EQ(r.total_ops, per_shard_ops * cfg.shards);
   EXPECT_EQ(r.per_shard.size(), cfg.shards);
 
-  // One done message per shard plus at least one progress message each.
+  // One done report per shard plus at least one progress report each.
   EXPECT_GE(r.messages, 2u * cfg.shards);
   EXPECT_GT(r.epochs, 0u);
   // The run ends at the epoch after the last shard quiesces, so virtual
   // time is bounded by the epoch count.
   EXPECT_LE(r.max_virtual_time, (r.epochs + 1) * cfg.epoch_cycles);
   EXPECT_GT(r.aggregate_gbps, 0.0);
+}
+
+// Every counter of a shard but the two a delayed report may move.
+std::string CountersBesidesDelay(const CounterSet& counters) {
+  std::string rest;
+  for (const auto& [name, value] : counters.All()) {
+    if (name != cnt::kFaultInjShardDelay && name != cnt::kWatchdogStall) {
+      rest += name + "=" + std::to_string(value) + "\n";
+    }
+  }
+  return rest;
+}
+
+TEST(ShardedSimTest, DelayedReportsArriveLateAndWhole) {
+  // kShardDelay holds a shard's reports back for each epoch of its trigger
+  // window, and they reach the controller with the shard's next hand-over.
+  // None is dropped or counted early: the run equals the run without the
+  // window, save the delay counter and, once the window spans the watchdog
+  // threshold, exactly one stall verdict.
+  constexpr uint64_t kStallEpochs = 3;
+  constexpr uint64_t kWindowStart = 2;
+  auto run = [](uint64_t window, uint32_t threads) {
+    ShardedRunConfig cfg = SmallConfig(PolicyKind::kNomad);
+    cfg.exec_threads = threads;
+    cfg.watchdog_stall_epochs = kStallEpochs;
+    cfg.shard_setup = [window](uint32_t shard, Sim& sim) {
+      auto fi = std::make_unique<FaultInjector>(7);
+      if (shard == 1) {
+        FaultSchedule delay;
+        delay.trigger_start = kWindowStart;
+        delay.trigger_count = window;
+        fi->set_schedule(FaultKind::kShardDelay, delay);
+      }
+      sim.ms().set_fault_injector(std::move(fi));
+    };
+    return RunShardedMicro(cfg);
+  };
+  const ShardedRunResult base = run(0, 1);
+  ASSERT_EQ(base.watchdog_stalls, 0u);
+  for (uint64_t window : {1u, 2u, 3u, 5u}) {
+    SCOPED_TRACE("window=" + std::to_string(window));
+    const ShardedRunResult r = run(window, 2);
+    EXPECT_EQ(r.total_ops, base.total_ops);
+    EXPECT_EQ(r.messages, base.messages);
+    EXPECT_EQ(r.epochs, base.epochs);
+    ASSERT_EQ(r.per_shard.size(), base.per_shard.size());
+    for (size_t s = 0; s < r.per_shard.size(); s++) {
+      EXPECT_EQ(CountersBesidesDelay(r.per_shard[s].counters),
+                CountersBesidesDelay(base.per_shard[s].counters))
+          << "shard " << s;
+    }
+    // The whole window fired while shard 1 still ran (a finishing shard
+    // hands over at once and is never consulted again).
+    const uint64_t stalls = window >= kStallEpochs ? 1 : 0;
+    EXPECT_EQ(r.per_shard[1].counters.Get(cnt::kFaultInjShardDelay), window);
+    EXPECT_EQ(r.per_shard[1].counters.Get(cnt::kWatchdogStall), stalls);
+    EXPECT_EQ(r.watchdog_stalls, stalls);
+  }
 }
 
 TEST(ShardedSimTest, ShardCountChangesPartitionButRunsClean) {

@@ -1,7 +1,7 @@
-// Tests for the deterministic sharding primitives: the router's fixed
-// drain order and per-pair FIFO sequencing, and the reusable epoch
-// barrier. These are the two properties the parallel engine's whole
-// determinism argument rests on (src/sim/shard.h).
+// Tests for the reusable epoch barrier the lockstep engine rests on
+// (src/sim/shard.h): no party is released before every party arrived, the
+// completion callback runs once in between, and the barrier can be crossed
+// again and again.
 #include "src/sim/shard.h"
 
 #include <gtest/gtest.h>
@@ -13,88 +13,17 @@
 namespace nomad {
 namespace {
 
-TEST(ShardRouterTest, DrainsInSenderIdThenSequenceOrder) {
-  ShardRouter router(4);
-  // Interleave sends in an adversarial real-time order; the receiver must
-  // still observe ascending (sender id, seq).
-  router.Send(2, 0, kShardMsgUser, 20);
-  router.Send(1, 0, kShardMsgUser, 10);
-  router.Send(3, 0, kShardMsgUser, 30);
-  router.Send(1, 0, kShardMsgUser, 11);
-  router.Send(2, 0, kShardMsgUser, 21);
-  router.Send(0, 0, kShardMsgUser, 0);
-
-  std::vector<std::pair<uint32_t, uint64_t>> seen;
-  router.Drain(0, [&](const ShardMsg& m) { seen.push_back({m.from, m.seq}); });
-
-  const std::vector<std::pair<uint32_t, uint64_t>> want = {
-      {0, 0}, {1, 0}, {1, 1}, {2, 0}, {2, 1}, {3, 0}};
-  EXPECT_EQ(seen, want);
-}
-
-TEST(ShardRouterTest, PayloadsSurviveAndPairsAreIndependent) {
-  ShardRouter router(3);
-  router.Send(0, 1, kShardMsgProgress, 7, 99);
-  router.Send(0, 2, kShardMsgDone, 8, 100);
-  EXPECT_EQ(router.PendingFor(1), 1u);
-  EXPECT_EQ(router.PendingFor(2), 1u);
-  EXPECT_EQ(router.PendingFor(0), 0u);
-
-  // Each (sender, receiver) pair numbers its own FIFO from zero.
-  router.Drain(1, [&](const ShardMsg& m) {
-    EXPECT_EQ(m.from, 0u);
-    EXPECT_EQ(m.kind, kShardMsgProgress);
-    EXPECT_EQ(m.seq, 0u);
-    EXPECT_EQ(m.a, 7u);
-    EXPECT_EQ(m.b, 99u);
-  });
-  router.Drain(2, [&](const ShardMsg& m) {
-    EXPECT_EQ(m.kind, kShardMsgDone);
-    EXPECT_EQ(m.seq, 0u);
-  });
-  EXPECT_EQ(router.PendingFor(1), 0u);
-  EXPECT_EQ(router.PendingFor(2), 0u);
-}
-
-TEST(ShardRouterTest, DrainOrderIndependentOfSendingThread) {
-  // Concurrent senders on real threads; after all join, the drained stream
-  // must be the canonical order no matter how the OS scheduled them.
-  ShardRouter router(4);
-  std::vector<std::thread> senders;
-  for (uint32_t s = 1; s < 4; s++) {
-    senders.emplace_back([&router, s] {
-      for (uint64_t i = 0; i < 100; i++) {
-        router.Send(s, 0, kShardMsgUser, i);
-      }
-    });
-  }
-  for (std::thread& t : senders) {
-    t.join();
-  }
-
-  uint32_t last_from = 0;
-  uint64_t next_seq = 0;
-  uint64_t count = 0;
-  router.Drain(0, [&](const ShardMsg& m) {
-    if (m.from != last_from) {
-      EXPECT_GT(m.from, last_from);  // ascending sender ids
-      last_from = m.from;
-      next_seq = 0;
-    }
-    EXPECT_EQ(m.seq, next_seq);  // dense per-pair sequence
-    EXPECT_EQ(m.a, next_seq);    // FIFO per sender
-    next_seq++;
-    count++;
-  });
-  EXPECT_EQ(count, 300u);
-}
-
 TEST(ShardBarrierTest, ReleasesAllPartiesAndIsReusable) {
   constexpr uint32_t kParties = 4;
   constexpr int kEpochs = 50;
   ShardBarrier barrier(kParties);
   std::atomic<int> in_phase{0};
   std::atomic<bool> overlap{false};
+  // The completion runs once per crossing, after every arrival and before
+  // any release, so it may share plain fields with the parties, as the
+  // lockstep controller does (TSan checks both edges).
+  int completions = 0;
+  bool ran_early = false;
 
   // Each thread alternates work/barrier; if the barrier ever released
   // early, two threads would be in different epochs at once and the
@@ -104,8 +33,11 @@ TEST(ShardBarrierTest, ReleasesAllPartiesAndIsReusable) {
     pool.emplace_back([&] {
       for (int e = 0; e < kEpochs; e++) {
         in_phase++;
-        barrier.ArriveAndWait();
-        if (in_phase.load() > static_cast<int>(kParties) * (e + 1)) {
+        barrier.ArriveAndWait([&] {
+          completions++;
+          ran_early = ran_early || in_phase.load() != static_cast<int>(kParties) * completions;
+        });
+        if (in_phase.load() > static_cast<int>(kParties) * (e + 1) || completions != e + 1) {
           overlap = true;
         }
         barrier.ArriveAndWait();
@@ -116,6 +48,8 @@ TEST(ShardBarrierTest, ReleasesAllPartiesAndIsReusable) {
     t.join();
   }
   EXPECT_FALSE(overlap.load());
+  EXPECT_FALSE(ran_early);
+  EXPECT_EQ(completions, kEpochs);
   EXPECT_EQ(in_phase.load(), static_cast<int>(kParties) * kEpochs);
 }
 

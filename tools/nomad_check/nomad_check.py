@@ -35,10 +35,12 @@ nomad_lint rules:
   NL007 io-in-core        no <iostream>/<fstream> outside the harness; core
                           layers report via counters, traces, and return
                           values.
-  NL008 shard-ownership   ShardRouter/ShardBarrier/ShardMsg and cross-shard
-                          `shards[i]` mutation are confined to the sharded
-                          runtime (SHARD_RUNTIME_FILES); everything else
-                          would bypass the deterministic drain order.
+  NL008 shard-ownership   the shard primitives (ShardBarrier; the pattern
+                          still names the removed ShardRouter/ShardMsg) and
+                          cross-shard `shards[i]` mutation are confined to
+                          the sharded runtime (SHARD_RUNTIME_FILES);
+                          anything else would reach across shards or into
+                          the lockstep schedule.
   NL009 frame-flags       frame metadata is a packed flags word (src/mm/
                           page.h); outside src/mm it may only be touched
                           through the PageFrame accessors. A raw bitmask
@@ -52,7 +54,7 @@ nomad_lint rules:
                           no metric behind looks like a hang in a soak.
   NL011 unannotated-sync  any class in src/ holding a mutex/condition
                           variable/atomic member (or the Mutex/CondVar
-                          wrappers) or a ShardRouter/ShardBarrier member
+                          wrappers) or a ShardBarrier member
                           must carry a thread-safety annotation (src/base/
                           annotations.h) somewhere in its span; src/base/
                           itself (the vocabulary) is exempt.
@@ -67,14 +69,16 @@ root, then closed over the member object graph - and report:
 
   NA001  pointer/reference to confined state smuggled into a ShardMsg
          payload (reinterpret_cast / C-cast of an address into the integer
-         arguments of ShardRouter::Send / Stage or a ShardMsg initializer)
+         arguments of ShardRouter::Send / Stage or a ShardMsg initializer);
+         both are gone with the router, so the rule's subject no longer
+         exists in the tree
   NA002  by-reference lambda capture crossing a thread seam (std::thread,
          std::async, a thread-pool emplace, or a shard_setup assignment)
          outside the shard runtime
   NA003  pointer/reference to a shard-confined type in static or
          namespace-scope storage
   NA004  cross-shard object access (`sims[i]->`, `shards[i].`) outside the
-         shard runtime's epoch/drain/setup/merge entry points
+         shard runtime's epoch/setup/merge entry points
   NA005  nondeterminism source reachable from simulation code via the call
          graph - the call-graph upgrade of NL003, over the same sink table
 
@@ -82,7 +86,10 @@ Analyzer findings are suppressed through a baseline file (default
 tools/nomad_analyze/baseline.txt) of `rule|path|fingerprint` lines, where
 the fingerprint hashes the finding's normalized source line so entries
 survive unrelated line drift. Every entry must carry a justification
-comment; --update-baseline regenerates the file with TODO placeholders.
+comment; --update-baseline regenerates the file with TODO placeholders,
+and refuses a partial run (--only or --file), which would drop the entries
+outside its scope. A partial run checks only the baseline entries of the
+rule and files it covered, so none outside them reads as stale.
 
 Engines. The token engine (nomad_lint --backend=token, nomad_analyze
 --backend=internal) is pure Python and runs anywhere. When the libclang
@@ -104,6 +111,7 @@ import io
 import os
 import re
 import sys
+import tempfile
 
 # --------------------------------------------------------------------------
 # Source model
@@ -306,9 +314,10 @@ def load_files(tool, root, paths=None):
 # --------------------------------------------------------------------------
 # Shared constants
 
-# Files that ARE the shard runtime: the lockstep loop and the router own the
-# cross-shard seams, so shard primitives (NL008), thread spawns (NA002) and
-# sims[s] indexing (NA004) inside them are the mechanism, not a violation.
+# Files that ARE the shard runtime: the lockstep loop and its barrier own
+# the cross-shard seams, so shard primitives (NL008), thread spawns (NA002)
+# and sims[s] indexing (NA004) inside them are the mechanism, not a
+# violation.
 SHARD_RUNTIME_FILES = (
     "src/sim/shard.h",
     "src/sim/shard.cc",
@@ -731,8 +740,8 @@ def rule_na002(f, ctx):
                 continue
             yield f.line_of(m.start()), (
                 "by-reference lambda capture handed to %s; captured references "
-                "cross the thread seam — capture by value or route through "
-                "ShardRouter messages" % what)
+                "cross the thread seam — capture by value, or keep the state "
+                "in the shard's own Sim" % what)
 
 
 STATIC_DECL_RE = re.compile(
@@ -806,9 +815,10 @@ def rule_na004(f, ctx):
         if inside is not None and inside.name in SHARD_RUNTIME_FUNCS:
             continue
         yield line, ("cross-shard object access outside the shard runtime "
-                     "(function %s); route through ShardRouter messages or "
-                     "one of %s" % (inside.name if inside else "<file scope>",
-                                    "/".join(sorted(SHARD_RUNTIME_FUNCS))))
+                     "(function %s); a shard may touch only its own state, "
+                     "and only %s reach across shards"
+                     % (inside.name if inside else "<file scope>",
+                        "/".join(sorted(SHARD_RUNTIME_FUNCS))))
 
 
 CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
@@ -1307,11 +1317,38 @@ double WallSeconds() {
 ]
 
 
-def run_selftest(tool, rules, cases, findings_of, run_on_missing_path):
+def exit_status(run):
+    """run()'s return value, or its SystemExit code; stderr is dropped."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return run()
+    except SystemExit as e:
+        return e.code
+
+
+def partial_baseline_update(flags):
+    """Exit status of --update-baseline with `flags` over a scratch tree
+    (src/a.cc and empty scope directories) and baseline, or "a rewritten
+    baseline" when the run changed the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for scope in SCOPE_DIRS:
+            os.mkdir(os.path.join(tmp, scope))
+        open(os.path.join(tmp, "src", "a.cc"), "w").close()
+        path = os.path.join(tmp, "baseline.txt")
+        kept = "NA002|src/harness/chaos.cc|191364eccfc0\n"
+        with open(path, "w") as fh:
+            fh.write(kept)
+        rc = exit_status(lambda: analyze_main(
+            ["--root", tmp, "--baseline", path, "--update-baseline"] + flags))
+        with open(path) as fh:
+            return rc if fh.read() == kept else "a rewritten baseline"
+
+
+def run_selftest(tool, rules, cases, findings_of, refusals):
     """Runs each case through findings_of(SourceFile) and checks that its
     rule fires (or stays quiet) on its path; every rule needs at least one
-    violation case and one clean case. Then the CLI, run on a path it
-    cannot read, must exit 2."""
+    violation case and one clean case. Then each (what, run) in refusals, a
+    CLI run it must refuse, must exit 2."""
     passed = {True: 0, False: 0}
     failures = 0
     for rule, rel, code, expect in cases:
@@ -1331,14 +1368,11 @@ def run_selftest(tool, rules, cases, findings_of, run_on_missing_path):
             if expect not in kinds:
                 failures += 1
                 print("FAIL %s has no %s case" % (rule, what))
-    try:
-        with contextlib.redirect_stderr(io.StringIO()):
-            rc = run_on_missing_path()
-    except SystemExit as e:
-        rc = e.code
-    print("%s exit %s on a missing path (want 2)" % ("ok  " if rc == 2 else "FAIL", rc))
-    if rc != 2:
-        failures += 1
+    for what, run in refusals:
+        rc = exit_status(run)
+        print("%s exit %s on %s (want 2)" % ("ok  " if rc == 2 else "FAIL", rc, what))
+        if rc != 2:
+            failures += 1
     print("%s selftest: %d/%d violation cases caught, %d/%d clean cases quiet, "
           "%d failure(s)" % (tool, passed[True], sum(1 for c in cases if c[3]),
                              passed[False], sum(1 for c in cases if not c[3]), failures))
@@ -1375,7 +1409,7 @@ def lint_main(argv):
     if args.selftest:
         return run_selftest("nomad_lint", LINT_RULES, LINT_SELFTEST_CASES,
                             lambda f: run_rules([f], LINT_RULES),
-                            lambda: lint_main(["src/no_such_file.cc"]))
+                            [("a missing path", lambda: lint_main(["src/no_such_file.cc"]))])
 
     root = os.path.abspath(args.root)
     files = load_files("nomad_lint", root, args.files)
@@ -1409,6 +1443,11 @@ def analyze_main(argv):
     ap.add_argument("--print-ownership", action="store_true",
                     help="dump the confined-type closure and exit")
     args = ap.parse_args(argv)
+    if args.update_baseline and (args.only or args.file):
+        # A partial run sees only part of the findings; writing them would
+        # drop every justified entry outside its scope.
+        ap.error("--update-baseline needs the whole tree and every rule, "
+                 "not --only or --file")
 
     if args.list_rules:
         return print_rules(ANALYZE_RULES)
@@ -1417,12 +1456,24 @@ def analyze_main(argv):
             support = SourceFile("<selftest>/src/base/support.h", "src/base/support.h",
                                  ANALYZE_SELFTEST_SUPPORT)
             return analyze([support, f])[0]
-        return run_selftest("nomad_analyze", ANALYZE_RULES, ANALYZE_SELFTEST_CASES,
-                            findings_of, lambda: analyze_main(["--file", "src/no_such_file.cc"]))
+        return run_selftest(
+            "nomad_analyze", ANALYZE_RULES, ANALYZE_SELFTEST_CASES, findings_of,
+            [("a missing path", lambda: analyze_main(["--file", "src/no_such_file.cc"])),
+             ("--update-baseline --only",
+              lambda: partial_baseline_update(["--only", "NA001"])),
+             ("--update-baseline --file",
+              lambda: partial_baseline_update(["--file", "src/a.cc"]))])
 
     root = os.path.abspath(args.root)
     files = load_files("nomad_analyze", root, args.file)
     findings, ctx = analyze(files, only=args.only)
+    # A run with --only or --file vouches only for the rule and files it
+    # covered: baseline entries and clang findings outside them are neither
+    # reported nor stale.
+    covered = {f.rel for f in files}
+
+    def in_scope(rule, rel):
+        return args.only in (None, rule) and (args.file is None or rel in covered)
 
     if args.print_ownership:
         print("marked: %s" % " ".join(sorted(ctx["marked"])))
@@ -1441,7 +1492,8 @@ def analyze_main(argv):
                   % " ".join(sorted(lost)), file=sys.stderr)
             return 1
         known = {x.baseline_key() for x in findings}
-        findings.extend(x for x in ast_findings if x.baseline_key() not in known)
+        findings.extend(x for x in ast_findings
+                        if x.baseline_key() not in known and in_scope(x.rule, x.rel))
 
     baseline_path = args.baseline or os.path.join(
         root, "tools", "nomad_analyze", "baseline.txt")
@@ -1451,7 +1503,7 @@ def analyze_main(argv):
               % (len(findings), baseline_path))
         return 0
 
-    baseline = load_baseline(baseline_path)
+    baseline = {k for k in load_baseline(baseline_path) if in_scope(k[0], k[1])}
     new = [x for x in findings if x.baseline_key() not in baseline]
     stale = baseline - {x.baseline_key() for x in findings}
     for x in new:

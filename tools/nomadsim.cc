@@ -17,7 +17,7 @@
 //                                 WSS must give every shard >= 1 page
 //   --placement=freq|random [random]
 //   --write_fraction=F   [0]
-//   --ops=N              [2000000]
+//   --ops=N              [2000000] at least one per app thread
 //   --threads=N          [2]      legacy mode: simulated app threads;
 //                                 sharded mode: OS worker threads (> 0)
 //   --seed=N             [42]
@@ -142,6 +142,15 @@ int main(int argc, char** argv) {
   }
   if (epoch_cycles == 0) {
     return Usage("[--shards=N] [--epoch=CYCLES]", "--epoch must be > 0");
+  }
+  // The ops split evenly over every app thread of every shard (legacy mode:
+  // --threads app threads on one machine); a thread left without one would
+  // end the run at 0 ops.
+  const uint64_t run_app_threads =
+      shards > 0 ? uint64_t{shards} * app_threads : static_cast<uint64_t>(cfg.threads);
+  if (cfg.total_ops / run_app_threads == 0) {
+    return Usage("[--ops=N] [--threads=N] [--shards=N] [--app_threads=N]",
+                 "every app thread needs at least one op");
   }
   // Each shard samples its own WSS pages; a shard with none has nothing to
   // draw from.
