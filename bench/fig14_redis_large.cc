@@ -34,6 +34,7 @@
 using namespace nomad;
 
 constexpr uint64_t kPaperRecords = 20000000;  // the paper's Redis dataset
+constexpr double kSlowGb = 64.0;  // large capacity tier (256 GB-class devices)
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -81,6 +82,13 @@ int main(int argc, char** argv) {
                  "least one record\n";
     return 2;
   }
+  // A shard whose larger tier, its share of the slow tier, scales to no
+  // frame cannot map its first page.
+  if (Scale{scale}.Pages(kSlowGb / static_cast<double>(run_shards)) == 0) {
+    std::cerr << "usage: fig14_redis_large [--scale=N] [--shards=N]: every shard needs at "
+                 "least one frame\n";
+    return 2;
+  }
 
   std::vector<PlatformId> platforms;
   if (platform_arg == "C" || platform_arg == "both") platforms.push_back(PlatformId::kC);
@@ -124,7 +132,7 @@ int main(int argc, char** argv) {
         cfg.scale_denom = scale;
         cfg.record_count = kPaperRecords / scale;
         cfg.demote_first = thrashing;
-        cfg.slow_gb = 64.0;  // large capacity tier (256 GB-class devices)
+        cfg.slow_gb = kSlowGb;
         cfg.total_ops = total_ops;
         cfg.timeline_interval = collector.timeline_requested() ? timeline_interval : 0;
 

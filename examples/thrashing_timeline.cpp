@@ -41,9 +41,9 @@ std::vector<double> RunTimeline(PolicyKind kind) {
   sim.Run();
 
   std::vector<double> series;
-  const auto& windows = app.bandwidth().windows();
-  for (size_t i = 0; i < windows.size(); i++) {
-    series.push_back(app.bandwidth().BandwidthAt(i) * platform.ghz);  // GB/s
+  const double window = static_cast<double>(app.bandwidth().window_cycles());
+  for (uint64_t bytes : app.bandwidth().windows()) {
+    series.push_back(static_cast<double>(bytes) / window * platform.ghz);  // GB/s
   }
   return series;
 }

@@ -14,7 +14,8 @@ field is ever added).
 With --threads-compare=1,4 the command additionally runs once per listed
 worker-thread count (appending --threads=N) and every run's metrics must be
 byte-identical to the first: the sharded parallel engine's contract is that
-OS thread assignment never leaks into simulation results (src/sim/shard.h).
+OS thread assignment never leaks into simulation results
+(src/harness/sharded_sim.h).
 
   scripts/check_determinism.py --threads-compare=1,4 \
       ./build/tools/nomadsim --policy=nomad --shards=4 --ops=400000

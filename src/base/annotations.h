@@ -4,12 +4,12 @@
 // Two kinds of shared state exist in this tree, and each gets its own
 // statically checkable marking:
 //
-//  1. *Lock-protected* state — the ShardBarrier phase fields, and the
-//     process-wide Zeta cache that shards share at set-up. These carry Clang
-//     thread-safety capability attributes: the mutex is declared a
-//     capability (NOMAD_CAPABILITY), the fields it protects are
-//     NOMAD_GUARDED_BY it, and the accessors spell their locking protocol
-//     with NOMAD_ACQUIRE/NOMAD_RELEASE/NOMAD_REQUIRES. Clang's
+//  1. *Lock-protected* state — the process-wide Zeta cache that shards
+//     share at set-up. It carries Clang thread-safety capability
+//     attributes: the mutex is declared a capability (NOMAD_CAPABILITY),
+//     the fields it protects are NOMAD_GUARDED_BY it, and the accessors
+//     spell their locking protocol with NOMAD_ACQUIRE/NOMAD_RELEASE/
+//     NOMAD_REQUIRES. Clang's
 //     -Wthread-safety analysis (promoted to -Werror in CI's clang builds)
 //     then rejects any unlocked access at compile time. See
 //     src/base/mutex.h for the annotated std::mutex wrappers the analysis

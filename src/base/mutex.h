@@ -1,5 +1,5 @@
-// Annotated synchronization wrappers: std::mutex / std::condition_variable
-// with the Clang thread-safety capability attributes attached.
+// Annotated synchronization wrappers: std::mutex with the Clang
+// thread-safety capability attributes attached.
 //
 // The standard-library types carry no annotations, so code that uses them
 // directly is invisible to -Wthread-safety: the analysis cannot connect a
@@ -8,20 +8,9 @@
 // connection. They are the only sanctioned way to add a lock in this tree
 // — lint rule NL011 requires any class holding a mutex or atomic member to
 // carry thread-safety annotations, and plain std::mutex members cannot.
-//
-// CondVar deliberately has no predicate-taking Wait: a predicate lambda is
-// analyzed as its own function, where the analysis cannot see that the
-// mutex is held, producing false positives on every guarded read inside
-// it. Callers loop instead:
-//
-//   MutexLock lock(mu_);
-//   while (!ready_) {      // ready_ is NOMAD_GUARDED_BY(mu_): checked
-//     cv_.Wait(mu_);
-//   }
 #ifndef SRC_BASE_MUTEX_H_
 #define SRC_BASE_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "src/base/annotations.h"
@@ -40,7 +29,6 @@ class NOMAD_CAPABILITY("mutex") Mutex {
   bool TryLock() NOMAD_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -56,32 +44,6 @@ class NOMAD_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-// Condition variable bound to the annotated Mutex. Wait() performs one
-// blocking wait (atomically releasing and re-acquiring mu); spurious
-// wakeups are the caller's loop to absorb, which keeps every guarded read
-// inside the annotated caller where the analysis can verify it.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) NOMAD_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the wait, then release the
-    // unique_lock's ownership claim so the capability bookkeeping (caller
-    // still holds mu) matches reality on return.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace nomad

@@ -1,6 +1,7 @@
 #include "src/harness/sharded_sim.h"
 
 #include <algorithm>
+#include <barrier>
 #include <iostream>
 #include <thread>
 
@@ -8,7 +9,6 @@
 #include "src/check/check.h"
 #include "src/check/invariants.h"
 #include "src/obs/event_registry.h"
-#include "src/sim/shard.h"
 #include "src/workload/kvstore.h"
 #include "src/workload/liblinear.h"
 #include "src/workload/micro.h"
@@ -38,11 +38,13 @@ bool WorkloadsDone(const Sim& sim) {
   return true;
 }
 
-// Controller state, written by the epoch barrier's completion callback and
-// read by every worker after release; the barrier's mutex provides the
-// happens-before edges in both directions. Confined to the barrier
-// callback, not lock-annotated: the protecting mutex is ShardBarrier's
-// private internals.
+// A sharded run stops with an error after this many epochs: a safety net
+// against a shard that never finishes.
+constexpr uint64_t kMaxEpochs = 1 << 22;
+
+// Controller state, written only by the epoch barrier's completion step and
+// read by every worker after release. Not lock-annotated: the barrier, not a
+// mutex, orders the accesses.
 struct NOMAD_SHARD_CONFINED Control {
   uint64_t total_ops = 0;
   uint64_t reports = 0;  // progress and done reports the controller read
@@ -52,9 +54,9 @@ struct NOMAD_SHARD_CONFINED Control {
 };
 
 // One shard as the lockstep controller sees it. The worker that owns the
-// shard writes its reports during an epoch; the barrier callback takes
-// them and keeps the watchdog fields while every worker waits, so the
-// barrier mutex orders every access in both directions.
+// shard writes its reports during an epoch; the barrier's completion step
+// takes them and keeps the watchdog fields while every worker waits, so the
+// barrier orders every access in both directions.
 struct NOMAD_SHARD_CONFINED ShardRecord {
   Sim* sim = nullptr;
   uint64_t reported_ops = 0;  // the shard's ops as of its last report
@@ -79,20 +81,54 @@ struct NOMAD_SHARD_CONFINED ShardRecord {
 // controller's first read, so building needs no barrier of its own. With
 // T == 1 the calling thread builds every shard in shard order.
 //
-// An epoch ends at ONE phase-flip barrier: whichever worker arrives last
-// reads every shard's record, in shard-id order, and updates the controller
-// inside the barrier's completion callback (under the barrier mutex, before
-// any waiter is released), so no second barrier crossing is needed.
-// `on_epoch` runs after a shard's engine reaches the epoch boundary and may
-// inspect that shard only (benchmark-specific snapshots live there).
+// An epoch ends at ONE barrier crossing, whose completion step is the
+// controller, so no second crossing is needed. `on_epoch` runs after a
+// shard's engine reaches the epoch boundary and may inspect that shard only
+// (benchmark-specific snapshots live there).
 Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
-                    uint32_t exec_threads, Cycles epoch_cycles, uint64_t max_epochs,
+                    uint32_t exec_threads, Cycles epoch_cycles,
                     const std::function<void(uint32_t, uint64_t)>& on_epoch,
                     uint64_t watchdog_stall_epochs = 0) {
   const uint32_t T = std::max<uint32_t>(1, std::min<uint32_t>(exec_threads, S));
-  ShardBarrier barrier(T);
   Control ctrl;
   std::vector<ShardRecord> records(S);
+
+  // The controller. std::barrier runs it once per epoch, on one arriving
+  // worker, after every arrival and before any release: every worker's
+  // reports happen-before it, and its update happens-before every worker's
+  // post-barrier read. It reads every shard's record in shard-id order; the
+  // fold is a sum and per-shard state, so neither the thread that runs it
+  // nor the shards' assignment to threads can change it.
+  std::barrier barrier(T, [&]() noexcept {
+    const uint64_t epoch = ctrl.epochs;
+    uint32_t done_shards = 0;
+    for (ShardRecord& rec : records) {
+      if (rec.handed_over && rec.reports > 0) {
+        ctrl.reports += rec.reports;
+        ctrl.total_ops += rec.report_ops;
+        rec.reports = 0;
+        rec.report_ops = 0;
+        rec.last_progress = epoch + 1;
+        rec.stalled = false;
+      }
+      rec.handed_over = false;
+      done_shards += rec.done ? 1 : 0;
+      // Livelock detection on the reports only: a live shard whose last
+      // report is too old is stalled. Edge-triggered — one verdict per
+      // stall episode, re-armed by the next report.
+      const uint64_t quiet = epoch + 1 - rec.last_progress;
+      if (watchdog_stall_epochs > 0 && !rec.done && !rec.stalled &&
+          quiet >= watchdog_stall_epochs) {
+        rec.stalled = true;
+        rec.stall_pending = quiet;
+        ctrl.watchdog_stalls++;
+      }
+    }
+    ctrl.epochs = epoch + 1;
+    NOMAD_CHECK(epoch < kMaxEpochs, "sharded run exceeded kMaxEpochs=", kMaxEpochs,
+                " done_shards=", done_shards, " of ", S);
+    ctrl.stop = done_shards == S;
+  });
 
   auto worker = [&](uint32_t t) {
     for (uint32_t s = t; s < S; s += T) {
@@ -165,40 +201,7 @@ Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
         // after, so it hands over at once regardless.
         rec.handed_over = !delay_reports || rec.done;
       }
-      barrier.ArriveAndWait([&] {
-        // Runs exactly once per epoch, by the last arriver, under the
-        // barrier mutex: every worker's reports happen-before this, and the
-        // control update happens-before every worker's post-barrier read.
-        // The fold is a sum and per-shard state, so neither the thread that
-        // runs it nor the shards' assignment to threads can change it.
-        uint32_t done_shards = 0;
-        for (ShardRecord& rec : records) {
-          if (rec.handed_over && rec.reports > 0) {
-            ctrl.reports += rec.reports;
-            ctrl.total_ops += rec.report_ops;
-            rec.reports = 0;
-            rec.report_ops = 0;
-            rec.last_progress = epoch + 1;
-            rec.stalled = false;
-          }
-          rec.handed_over = false;
-          done_shards += rec.done ? 1 : 0;
-          // Livelock detection on the reports only: a live shard whose
-          // last report is too old is stalled. Edge-triggered — one
-          // verdict per stall episode, re-armed by the next report.
-          const uint64_t quiet = epoch + 1 - rec.last_progress;
-          if (watchdog_stall_epochs > 0 && !rec.done && !rec.stalled &&
-              quiet >= watchdog_stall_epochs) {
-            rec.stalled = true;
-            rec.stall_pending = quiet;
-            ctrl.watchdog_stalls++;
-          }
-        }
-        ctrl.epochs = epoch + 1;
-        NOMAD_CHECK(epoch < max_epochs, "sharded run exceeded max_epochs=", max_epochs,
-                    " done_shards=", done_shards, " of ", S);
-        ctrl.stop = done_shards == S;
-      });
+      barrier.arrive_and_wait();
       if (ctrl.stop) {
         return;
       }
@@ -229,7 +232,6 @@ struct Plan {
   uint32_t shards = 1;
   uint32_t exec_threads = 1;
   Cycles epoch_cycles = 0;
-  uint64_t max_epochs = 0;
   uint64_t watchdog_stall_epochs = 0;
   Cycles timeline_interval = 0;
   bool enable_spans = false;
@@ -258,7 +260,6 @@ Plan PlanOf(const ShardedConfig& cfg, const MetricsCollector* collector) {
   plan.shards = cfg.shards;
   plan.exec_threads = cfg.exec_threads;
   plan.epoch_cycles = cfg.epoch_cycles;
-  plan.max_epochs = cfg.max_epochs;
   plan.timeline_interval = cfg.base.timeline_interval;
   plan.enable_spans = cfg.base.enable_spans;
   plan.instruments = Instrumented(plan, collector);
@@ -410,7 +411,7 @@ Control RunShards(const Plan& plan, std::vector<Shard>& shards, const BuildShard
         build(s, shards[s]);
         return *shards[s].sim;
       },
-      plan.exec_threads, plan.epoch_cycles, plan.max_epochs,
+      plan.exec_threads, plan.epoch_cycles,
       [&](uint32_t s, uint64_t epoch) {
         Shard& sh = shards[s];
         if (!sh.half_snapped && OpsDone(*sh.sim) * 2 >= sh.total_ops) {

@@ -11,13 +11,25 @@
 // the configured ops for the first-half snapshot, the timeline (when on)
 // is an engine actor sampling at the exact interval, and the run ends as
 // soon as the workloads finish. More shards advance in lockstep virtual-
-// time epochs on a pool of OS worker threads. Shards exchange nothing: at
-// each epoch barrier the controller reads one report record per shard, in
-// shard-id order (see src/sim/shard.h for the determinism argument). Each
-// worker builds the shards it owns before its first epoch.
-// Worker threads are an execution detail — any --threads value
+// time epochs on a pool of OS worker threads, and each worker builds the
+// shards it owns before its first epoch. As on the paper's machine, where
+// each NUMA node runs its own kswapd and kpromote, shards exchange nothing:
+// at each epoch barrier (a std::barrier) the controller reads one report
+// record per shard, in shard-id order. Because
+//  - shard-local state evolves as a pure function of (config, seed) and of
+//    the watchdog's verdicts on that shard, which the controller derives
+//    from that shard's own reports, and
+//  - the controller's fold over the records and the epoch schedule are
+//    independent of how shards are assigned to OS threads,
+// worker threads are an execution detail: any --threads value, including 1,
 // produces byte-identical metrics, which scripts/check_determinism.py
 // --threads-compare enforces.
+//
+// The rule that no shard may touch another shard's owned state (page
+// tables, frame pools, LRU lists) is enforced statically at two levels:
+// tools/nomad_lint rule NL008 (token heuristics) and tools/nomad_analyze
+// (AST ownership/escape analysis over the NOMAD_SHARD_CONFINED object
+// graph).
 //
 // A run's instruments (trace ring, profiler, histograms, provenance ledger)
 // cost nothing unless the run has a reader for them: they are on when the
@@ -45,7 +57,6 @@ struct ShardedRunConfig {
   uint32_t shards = 4;        // logical partition count (affects results)
   uint32_t exec_threads = 1;  // OS worker threads (must NOT affect results)
   Cycles epoch_cycles = 500000;   // virtual-time barrier interval
-  uint64_t max_epochs = 1 << 22;  // safety net against stalled shards
   bool audit = false;  // run InvariantChecker on every quiesced shard
   // Per-shard set-up hook: when set, it is called once per shard with the
   // shard's new Sim, before the layout is mapped and the workloads are
@@ -101,7 +112,6 @@ struct ShardedYcsbConfig {
   uint32_t shards = 4;
   uint32_t exec_threads = 1;
   Cycles epoch_cycles = 500000;
-  uint64_t max_epochs = 1 << 22;
 };
 
 struct ShardedAppResult {

@@ -138,7 +138,7 @@ Cycles Kswapd::Step(Engine& engine) {
   const Tier tier = config_.tier;
   if (pool.FreeFrames(tier) >= pool.HighWatermark(tier)) {
     consecutive_failures_ = 0;
-    engine.SleepUntil(engine.now() + config_.poll_interval);
+    engine.SleepUntil(engine.now() + kPollInterval);
     return 0;
   }
   ms_->Trace(TraceEvent::kKswapdWake, static_cast<uint64_t>(TierIndex(tier)),
@@ -148,7 +148,7 @@ Cycles Kswapd::Step(Engine& engine) {
   if (consecutive_failures_ >= config_.scan_batch) {
     // Thrashing against a full lower tier; back off.
     consecutive_failures_ = 0;
-    engine.SleepUntil(engine.now() + config_.poll_interval);
+    engine.SleepUntil(engine.now() + kPollInterval);
     return 0;
   }
   return std::max<Cycles>(spent, 1);

@@ -24,8 +24,10 @@ class Kswapd : public Actor {
   struct Config {
     Tier tier = Tier::kFast;
     uint64_t scan_batch = 32;       // pages examined per step
-    Cycles poll_interval = 200000;  // re-check period while watermarks are fine
   };
+  // Re-check period while the watermarks are fine, and the back-off after
+  // a round that reclaimed nothing.
+  static constexpr Cycles kPollInterval = 200000;
 
   // Reclaims one page (by PFN); returns success and the cycles it cost.
   using ReclaimPageFn = std::function<MigrateResult(Pfn)>;

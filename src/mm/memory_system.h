@@ -381,6 +381,10 @@ inline Cycles MemorySystem::AccessResolved(ActorId cpu, AddressSpace& as, Tlb& t
           DemandFault(cpu, as, vpn);
           pte = as.table().Lookup(vpn);
         }
+        // No PTE at all: the page was never mapped and the demand fault
+        // found no frame on either tier.
+        NOMAD_CHECK(pte != nullptr, "unresolved fault left vpn=", vpn,
+                    " without a PTE: no frame to map it");
         pte->prot_none = false;
         pte->writable = true;
         pool_.NoteScanCandidate(pte->pfn);

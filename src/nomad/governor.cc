@@ -6,6 +6,14 @@
 
 namespace nomad {
 
+namespace {
+
+// Promotions and demotions are balanced when |promo - demo| / promo is at
+// most this.
+constexpr double kBalanceTolerance = 0.5;
+
+}  // namespace
+
 uint64_t ThrashGovernor::PromoTotal() const {
   const CounterSet& c = ms_->counters();
   return c.Get(cnt::kNomadTpmCommit) + c.Get(cnt::kMigrateSyncPromote);
@@ -41,7 +49,7 @@ Cycles ThrashGovernor::Step(Engine& engine) {
                             : std::abs(static_cast<double>(promo_rate) -
                                        static_cast<double>(demo_rate)) /
                                   static_cast<double>(promo_rate);
-    const bool thrashing = busy && diff <= config_.balance_tolerance;
+    const bool thrashing = busy && diff <= kBalanceTolerance;
     if (thrashing) {
       // Frequent and (near-)equal promotions and demotions: every page we
       // bring in pushes another one out. Stop promoting; serve in place.

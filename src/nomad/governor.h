@@ -31,7 +31,6 @@ class ThrashGovernor : public Actor {
   struct Config {
     Cycles period = 4000000;        // sampling period (~2 ms at 2.1 GHz)
     uint64_t min_promotions = 256;  // below this rate, no thrash verdict
-    double balance_tolerance = 0.5; // |promo-demo| / promo below this = balanced
     int probation_periods = 2;      // gate re-opens for this many periods
     int max_backoff = 16;           // cap on closed-period exponential growth
   };

@@ -159,13 +159,13 @@ Cycles KpromoteActor::BeginNext(Engine& engine) {
     ms_->Trace(TraceEvent::kSyncDegrade, 0);
   }
   if (enabled_ && !enabled_()) {
-    engine.SleepUntil(engine.now() + config_.idle_poll);
+    engine.SleepUntil(engine.now() + kIdlePoll);
     return 0;
   }
-  // Examine a PCQ batch at most once per idle_poll interval. kpromote is
+  // Examine a PCQ batch at most once per kIdlePoll interval. kpromote is
   // the only examiner, so the candidate-expiry window is set by this
   // actor's pace, not by how often the application faults.
-  if (engine.now() >= last_scan_ + config_.idle_poll) {
+  if (engine.now() >= last_scan_ + kIdlePoll) {
     last_scan_ = engine.now();
     auto [moved, scan_cost] = queues_->ScanPcq(config_.pcq_scan_batch);
     (void)moved;
@@ -176,7 +176,7 @@ Cycles KpromoteActor::BeginNext(Engine& engine) {
   if (pfn == kInvalidPfn) {
     // Sleep until the next poll — or earlier, if a backed-off retry
     // becomes due before that.
-    Cycles wake = engine.now() + std::max<Cycles>(spent, 1) + config_.idle_poll;
+    Cycles wake = engine.now() + std::max<Cycles>(spent, 1) + kIdlePoll;
     wake = std::min(wake, std::max(queues_->NextDeferredReady(), engine.now() + 1));
     engine.SleepUntil(wake);
     return spent;
@@ -254,14 +254,14 @@ Cycles KpromoteActor::BeginNext(Engine& engine) {
       engine.Wake(kswapd_fast_id_, engine.now() + costs.daemon_wakeup);
     }
     queues_->RequeuePending(pfn, queues_->popped_hot_since(), mig_id);
-    engine.SleepUntil(engine.now() + std::max<Cycles>(spent, 1) + config_.idle_poll);
+    engine.SleepUntil(engine.now() + std::max<Cycles>(spent, 1) + kIdlePoll);
     return spent;
   }
   const Pfn new_pfn = pool.AllocOn(Tier::kFast);
   if (new_pfn == kInvalidPfn) {
     stats_.nomem_waits++;
     queues_->RequeuePending(pfn, queues_->popped_hot_since(), mig_id);
-    engine.SleepUntil(engine.now() + std::max<Cycles>(spent, 1) + config_.idle_poll);
+    engine.SleepUntil(engine.now() + std::max<Cycles>(spent, 1) + kIdlePoll);
     return spent;
   }
 

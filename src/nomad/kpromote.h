@@ -38,8 +38,11 @@ class AdmissionController;
 
 class NOMAD_SHARD_CONFINED KpromoteActor : public Actor {
  public:
+  // Re-check period when the queues are empty; kpromote examines a PCQ
+  // batch at most once per period.
+  static constexpr Cycles kIdlePoll = 25000;
+
   struct Config {
-    Cycles idle_poll = 25000;     // re-check period when the queues are empty
     size_t pcq_scan_batch = 64;   // PCQ entries examined per pass
     // Ablation switches (benches only; both true = full NOMAD):
     bool transactional = true;    // false: kpromote migrates synchronously

@@ -7,6 +7,17 @@
 
 namespace nomad {
 
+namespace {
+
+// The allocation-failure hook's first reclaim target (shadows per failed
+// allocation), the cap its doubling stops at, and the consecutive misses
+// after which it stands down (see the hook in Install).
+constexpr uint64_t kAllocFailReclaimFactor = 10;
+constexpr uint64_t kAllocFailReclaimCap = 640;
+constexpr uint32_t kAllocFailMaxAttempts = 5;
+
+}  // namespace
+
 void NomadPolicy::Install(MemorySystem& ms, Engine& engine) {
   ms_ = &ms;
   shadows_ = std::make_unique<ShadowManager>(&ms);
@@ -87,22 +98,22 @@ void NomadPolicy::Install(MemorySystem& ms, Engine& engine) {
   // Allocation-failure path: free shadows (targeting 10x the request, here
   // one page at a time) before declaring OOM. Consecutive fruitless
   // attempts escalate the target exponentially, and the loop is bounded:
-  // after alloc_fail_max_attempts misses the hook stands down until the
+  // after kAllocFailMaxAttempts misses the hook stands down until the
   // shadow index repopulates, instead of walking an empty reclaim FIFO on
   // every failing allocation forever.
   ms.pool().set_alloc_failure_hook([this](Tier tier) {
     if (tier != Tier::kSlow) {
       return false;
     }
-    if (alloc_fail_streak_ >= config_.alloc_fail_max_attempts) {
+    if (alloc_fail_streak_ >= kAllocFailMaxAttempts) {
       if (shadows_->count() == 0) {
         return false;  // still nothing to reclaim; fail fast
       }
       alloc_fail_streak_ = 0;  // shadows reappeared; re-arm
     }
     const uint64_t target =
-        std::min<uint64_t>(config_.alloc_fail_reclaim_factor << alloc_fail_streak_,
-                           config_.alloc_fail_reclaim_cap);
+        std::min<uint64_t>(kAllocFailReclaimFactor << alloc_fail_streak_,
+                           kAllocFailReclaimCap);
     Cycles cost = 0;
     const uint64_t freed = shadows_->ReclaimShadows(target, &cost);
     if (freed == 0) {

@@ -33,14 +33,6 @@ class NomadPolicy : public TieringPolicy {
     KpromoteActor::Config kpromote;
     Kswapd::Config kswapd_fast;
     Kswapd::Config kswapd_slow;
-    uint64_t alloc_fail_reclaim_factor = 10;  // shadows freed per failed alloc
-    // Graceful degradation of the allocation-failure path: each fruitless
-    // reclaim attempt doubles the next target (up to the cap); after
-    // max_attempts consecutive misses the hook short-circuits until the
-    // shadow index repopulates, so an exhausted index cannot add a reclaim
-    // walk to every failing allocation.
-    uint64_t alloc_fail_reclaim_cap = 640;
-    uint32_t alloc_fail_max_attempts = 5;
     // Sec. 5 extension: detect balanced promotion/demotion churn and stop
     // promoting until memory pressure eases. Off by default: the paper's
     // evaluated system does not include it.

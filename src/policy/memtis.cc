@@ -5,6 +5,14 @@
 
 namespace nomad {
 
+namespace {
+
+// Pages the migrator promotes, and demotes, per period at most.
+constexpr size_t kPromoteBatch = 64;
+constexpr size_t kDemoteBatch = 64;
+
+}  // namespace
+
 void MemtisPolicy::Install(MemorySystem& ms, Engine& engine) {
   ms_ = &ms;
   if (!ms.platform().pebs_supported) {
@@ -57,7 +65,7 @@ Cycles MemtisPolicy::RunMigrationRound() {
 
   // Demote first when the fast node is tight, to make room for promotions.
   if (pool.BelowLowWatermark(Tier::kFast)) {
-    for (Vpn vpn : pebs.ColdPagesOn(Tier::kFast, threshold, config_.demote_batch)) {
+    for (Vpn vpn : pebs.ColdPagesOn(Tier::kFast, threshold, kDemoteBatch)) {
       if (!pool.BelowLowWatermark(Tier::kFast)) {
         break;
       }
@@ -71,7 +79,7 @@ Cycles MemtisPolicy::RunMigrationRound() {
 
   // Promote the hottest sampled pages still resident on the slow tier.
   uint64_t attempts = 0;
-  for (Vpn vpn : pebs.HotPagesOn(Tier::kSlow, threshold, config_.promote_batch)) {
+  for (Vpn vpn : pebs.HotPagesOn(Tier::kSlow, threshold, kPromoteBatch)) {
     if (pool.FreeFrames(Tier::kFast) <= pool.LowWatermark(Tier::kFast)) {
       ms.counters().Add(cnt::kMemtisPromoteSkippedNomem, 1);
       break;

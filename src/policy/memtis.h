@@ -24,8 +24,6 @@ class MemtisPolicy : public TieringPolicy {
   struct Config {
     PebsSampler::Config pebs;      // cooling_period selects Default/QuickCool
     Cycles migrate_interval = 2000000;  // background thread period (~1 ms)
-    size_t promote_batch = 64;
-    size_t demote_batch = 64;
     std::string variant = "memtis-default";
   };
 

@@ -5,6 +5,13 @@
 
 namespace nomad {
 
+namespace {
+
+// Attempts a synchronous promotion makes before it counts as failed.
+constexpr int kMigrateMaxAttempts = 10;
+
+}  // namespace
+
 void TppPolicy::Install(MemorySystem& ms, Engine& engine) {
   ms_ = &ms;
 
@@ -70,7 +77,7 @@ Cycles TppPolicy::OnHintFault(ActorId /*cpu*/, AddressSpace& as, Vpn vpn) {
   }
 
   // Synchronous promotion on the faulting thread's critical path.
-  MigrateResult r = MigratePageWithRetry(ms, as, vpn, Tier::kFast, config_.migrate_max_attempts);
+  MigrateResult r = MigratePageWithRetry(ms, as, vpn, Tier::kFast, kMigrateMaxAttempts);
   cost += r.cycles;
   ms.counters().Add(r.success ? cnt::kTppPromote : cnt::kTppPromoteFail, 1);
   // Cycle attribution for the Figure 2 breakdown: promotion work executes

@@ -26,7 +26,6 @@ class TppPolicy : public TieringPolicy {
   struct Config {
     HintFaultScanner::Config scanner;
     Kswapd::Config kswapd;  // tier is forced to kFast
-    int migrate_max_attempts = 10;
   };
 
   explicit TppPolicy() = default;

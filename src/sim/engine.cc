@@ -40,30 +40,6 @@ void Engine::Penalize(ActorId id, Cycles cycles) {
   sched_dirty_ = true;
 }
 
-bool Engine::PickNext(ActorId* out) const {
-  // Tight scan over the entry table; the cached done bit avoids a virtual
-  // call per actor per scheduling pass. Ties break to the lowest id because
-  // the < comparison only replaces on strictly-smaller times.
-  Cycles best = kNever;
-  ActorId best_id = 0;
-  bool found = false;
-  for (ActorId id = 0; id < entries_.size(); id++) {
-    const Entry& e = entries_[id];
-    if (e.done || e.next_time == kNever) {
-      continue;
-    }
-    if (!found || e.next_time < best) {
-      best = e.next_time;
-      best_id = id;
-      found = true;
-    }
-  }
-  if (found) {
-    *out = best_id;
-  }
-  return found;
-}
-
 void Engine::StepOne(ActorId id) {
   Entry& e = entries_[id];
   now_ = std::max(now_, e.next_time);
@@ -76,7 +52,10 @@ void Engine::StepOne(ActorId id) {
   e.done = actors_[id]->done();
 }
 
-bool Engine::PickNext2(ActorId* out, Cycles* sec_time, ActorId* sec_id) const {
+bool Engine::PickNext(ActorId* out, Cycles* sec_time, ActorId* sec_id) const {
+  // Tight scan over the entry table; the cached done bit avoids a virtual
+  // call per actor per scheduling pass. Ties break to the lowest id because
+  // the < comparison only replaces on strictly-smaller times.
   Cycles best = kNever;
   ActorId best_id = 0;
   Cycles sec = kNever;
@@ -110,7 +89,7 @@ Cycles Engine::Run(Cycles until) {
   ActorId id;
   Cycles sec_time;
   ActorId sec_id;
-  while (PickNext2(&id, &sec_time, &sec_id)) {
+  while (PickNext(&id, &sec_time, &sec_id)) {
     if (entries_[id].next_time > until) {
       break;
     }
@@ -140,7 +119,7 @@ Cycles Engine::RunUntil(const std::function<bool()>& stop) {
   ActorId id;
   Cycles sec_time;
   ActorId sec_id;
-  while (!stop() && PickNext2(&id, &sec_time, &sec_id)) {
+  while (!stop() && PickNext(&id, &sec_time, &sec_id)) {
     for (;;) {
       sched_dirty_ = false;
       StepOne(id);

@@ -104,14 +104,12 @@ class NOMAD_SHARD_CONFINED Engine {
     bool done = false;   // cached Actor::done(), refreshed after each Step
   };
 
-  // Picks the runnable actor with the minimum next_time; returns false when
-  // none is runnable.
-  bool PickNext(ActorId* out) const;
-
-  // Like PickNext, but also reports the runner-up's (time, id) so the run
-  // loop can re-step the winner without rescanning while it provably stays
-  // the minimum. With no runner-up, *sec_time is kNever.
-  bool PickNext2(ActorId* out, Cycles* sec_time, ActorId* sec_id) const;
+  // Picks the runnable actor with the minimum next_time, ties to the lowest
+  // id; returns false when none is runnable. Also reports the runner-up's
+  // (time, id) so the run loop can re-step the winner without rescanning
+  // while it provably stays the minimum. With no runner-up, *sec_time is
+  // kNever.
+  bool PickNext(ActorId* out, Cycles* sec_time, ActorId* sec_id) const;
 
   // Steps the chosen actor and applies its scheduling outcome.
   void StepOne(ActorId id);

@@ -60,23 +60,4 @@ void WindowedSeries::Record(Cycles now, uint64_t bytes) {
   windows_[idx] += bytes;
 }
 
-double WindowedSeries::BandwidthAt(size_t i) const {
-  if (i >= windows_.size()) {
-    return 0.0;
-  }
-  return static_cast<double>(windows_[i]) / static_cast<double>(window_);
-}
-
-double WindowedSeries::MeanBandwidth(size_t first, size_t last) const {
-  last = std::min(last, windows_.size());
-  if (first >= last) {
-    return 0.0;
-  }
-  uint64_t total = 0;
-  for (size_t i = first; i < last; i++) {
-    total += windows_[i];
-  }
-  return static_cast<double>(total) / static_cast<double>((last - first) * window_);
-}
-
 }  // namespace nomad

@@ -33,6 +33,19 @@ namespace nomad {
 // a name is first seen. Hot paths should still cache a reference from At().
 class NOMAD_SHARD_CONFINED CounterSet {
  public:
+  CounterSet() = default;
+  // A copy takes the counters but not index_, whose keys and values point
+  // into the source's map; Slot() rebuilds it. A move keeps the map's
+  // nodes, and with them the index.
+  CounterSet(const CounterSet& other) : counters_(other.counters_) {}
+  CounterSet& operator=(const CounterSet& other) {
+    counters_ = other.counters_;
+    index_.clear();
+    return *this;
+  }
+  CounterSet(CounterSet&&) = default;
+  CounterSet& operator=(CounterSet&&) = default;
+
   // Returns a stable reference to the named counter, creating it at zero.
   // (std::map references stay valid across later inserts and erases.)
   uint64_t& At(std::string_view name) { return Slot(name); }
@@ -134,8 +147,8 @@ class LatencyHistogram {
   Cycles max_ = 0;
 };
 
-// Accumulates bytes transferred against virtual time and exposes per-window
-// bandwidth. Window boundaries are fixed multiples of window_cycles.
+// Accumulates bytes transferred against virtual time, per window. Window
+// boundaries are fixed multiples of window_cycles.
 class WindowedSeries {
  public:
   explicit WindowedSeries(Cycles window_cycles) : window_(window_cycles == 0 ? 1 : window_cycles) {}
@@ -145,12 +158,6 @@ class WindowedSeries {
 
   // Number of complete or partial windows observed so far.
   size_t NumWindows() const { return windows_.size(); }
-
-  // Bandwidth of window i in bytes/cycle.
-  double BandwidthAt(size_t i) const;
-
-  // Mean bandwidth over windows [first, last) in bytes/cycle.
-  double MeanBandwidth(size_t first, size_t last) const;
 
   Cycles window_cycles() const { return window_; }
   const std::vector<uint64_t>& windows() const { return windows_; }

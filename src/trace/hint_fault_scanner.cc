@@ -7,6 +7,13 @@
 
 namespace nomad {
 
+namespace {
+
+// Cycles to arm one page: the PTE write and its bookkeeping.
+constexpr Cycles kCostPerPage = 120;
+
+}  // namespace
+
 Pfn HintFaultScanner::FirstSlowPfn() const { return ms_->pool().TotalFrames(Tier::kFast); }
 
 Pfn HintFaultScanner::EndSlowPfn() const {
@@ -75,7 +82,7 @@ Cycles HintFaultScanner::Step(Engine& engine) {
         pool.ClearScanCandidate(pfn);  // armed: not armable until resolved
         pages_armed_++;
         armed_this_round++;
-        spent += config_.cost_per_page;
+        spent += kCostPerPage;
         if (!any_shootdown) {
           // Arming downgrades permissions, so stale TLB entries must go.
           // Linux batches these flushes; we charge one shootdown per armed

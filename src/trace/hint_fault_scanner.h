@@ -28,7 +28,6 @@ class HintFaultScanner : public Actor {
   struct Config {
     uint64_t pages_per_round = 512;   // arming batch per step
     Cycles round_interval = 100000;   // pause between sweep rounds
-    Cycles cost_per_page = 120;       // PTE write + bookkeeping
   };
 
   HintFaultScanner(MemorySystem* ms, const Config& config)

@@ -5,10 +5,9 @@
 // to NOTHING — a GCC build (this repo's default toolchain) must see plain
 // C++, or the annotation rollout would change codegen or break -Werror with
 // unknown-attribute warnings. The stringification checks pin that down at
-// compile time. (2) The Mutex/MutexLock/CondVar wrappers must be faithful
-// stand-ins for std::mutex / std::lock_guard / std::condition_variable:
-// ShardBarrier (src/sim/shard.cc) and the Zeta cache
-// (src/workload/zipfian.cc) ride entirely on these semantics.
+// compile time. (2) The Mutex/MutexLock wrappers must be faithful stand-ins
+// for std::mutex / std::lock_guard: the Zeta cache (src/workload/zipfian.cc)
+// rides entirely on these semantics.
 #include "src/base/annotations.h"
 
 #include <gtest/gtest.h>
@@ -131,73 +130,6 @@ TEST(MutexTest, MutexLockProvidesExclusion) {
     th.join();
   }
   EXPECT_EQ(counter, static_cast<uint64_t>(kThreads) * kIters);
-}
-
-TEST(CondVarTest, WaitNotifyHandshake) {
-  // The exact shape ShardBarrier::ArriveAndWait uses: explicit predicate
-  // loop around CondVar::Wait under a MutexLock.
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;   // guarded by mu
-  uint64_t seen = 0;    // guarded by mu
-
-  std::thread waiter([&] {
-    MutexLock lock(mu);
-    while (!ready) {
-      cv.Wait(mu);
-    }
-    seen = 42;
-  });
-  {
-    MutexLock lock(mu);
-    ready = true;
-    cv.NotifyAll();
-  }
-  waiter.join();
-  MutexLock lock(mu);
-  EXPECT_EQ(seen, 42u);
-}
-
-TEST(CondVarTest, NotifyOneWakesExactlyOneWaiterEventually) {
-  Mutex mu;
-  CondVar cv;
-  int tokens = 0;  // guarded by mu
-  int consumed = 0;
-  constexpr int kConsumers = 3;
-  constexpr int kTokens = 12;
-
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kConsumers; t++) {
-    pool.emplace_back([&] {
-      while (true) {
-        MutexLock lock(mu);
-        while (tokens == 0 && consumed < kTokens) {
-          cv.Wait(mu);
-        }
-        if (consumed == kTokens) {
-          cv.NotifyAll();  // let the other consumers exit too
-          return;
-        }
-        tokens--;
-        consumed++;
-        if (consumed == kTokens) {
-          cv.NotifyAll();
-          return;
-        }
-      }
-    });
-  }
-  for (int i = 0; i < kTokens; i++) {
-    MutexLock lock(mu);
-    tokens++;
-    cv.NotifyOne();
-  }
-  for (std::thread& th : pool) {
-    th.join();
-  }
-  MutexLock lock(mu);
-  EXPECT_EQ(consumed, kTokens);
-  EXPECT_EQ(tokens, 0);
 }
 
 }  // namespace

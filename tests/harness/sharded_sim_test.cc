@@ -270,7 +270,7 @@ TEST(ShardedYcsbTest, ThreadCountDoesNotChangeResults) {
 
 TEST(ShardedSimDeathTest, ZeroEpochIsRejectedWithMoreThanOneShard) {
   // Zero-cycle epochs never advance virtual time: the run used to spin
-  // through max_epochs empty epochs, or divide by zero when a timeline
+  // through kMaxEpochs empty epochs, or divide by zero when a timeline
   // was on. It must stop before building any shard, naming the field.
   ShardedRunConfig micro = SmallConfig(PolicyKind::kNomad);
   micro.epoch_cycles = 0;

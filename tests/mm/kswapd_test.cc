@@ -50,7 +50,7 @@ TEST_F(KswapdTest, SleepsWhenWatermarksFine) {
   engine_.Run(1);  // one step
   EXPECT_EQ(k.pages_demoted(), 0u);
   // It rescheduled itself at the poll interval.
-  EXPECT_GE(engine_.NextTimeOf(id), Kswapd::Config{}.poll_interval);
+  EXPECT_GE(engine_.NextTimeOf(id), Kswapd::kPollInterval);
 }
 
 TEST_F(KswapdTest, DemotesUntilHighWatermark) {

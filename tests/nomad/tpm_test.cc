@@ -180,7 +180,7 @@ TEST_F(TpmTest, CommitChargesTwoShootdowns) {
 TEST_F(TpmTest, SleepsWhenIdle) {
   StepOnce();  // nothing queued
   EXPECT_GE(engine_.NextTimeOf(kpromote_.actor_id()),
-            KpromoteActor::Config{}.idle_poll);
+            KpromoteActor::kIdlePoll);
 }
 
 TEST_F(TpmTest, DoubleAbortSameVpnBacksOffEachTime) {

@@ -26,6 +26,26 @@ TEST(CounterSetTest, ResetClears) {
   EXPECT_TRUE(c.All().empty());
 }
 
+// A copy owns its counters: writing through it leaves the source alone.
+TEST(CounterSetTest, CopyConstructedSetDoesNotWriteItsSource) {
+  CounterSet a;
+  a.Add("x", 1);
+  CounterSet b = a;
+  b.Add("x", 1);
+  EXPECT_EQ(a.Get("x"), 1u);
+  EXPECT_EQ(b.Get("x"), 2u);
+}
+
+TEST(CounterSetTest, CopyAssignedSetDoesNotWriteItsSource) {
+  CounterSet a;
+  a.Add("x", 2);
+  CounterSet c;
+  c = a;
+  c.At("x") += 5;
+  EXPECT_EQ(a.Get("x"), 2u);
+  EXPECT_EQ(c.Get("x"), 7u);
+}
+
 TEST(CounterSetTest, ToStringSortedByName) {
   CounterSet c;
   c.Add("b", 2);
@@ -94,22 +114,6 @@ TEST(WindowedSeriesTest, RecordsIntoCorrectWindow) {
   ASSERT_EQ(s.NumWindows(), 2u);
   EXPECT_EQ(s.windows()[0], 128u);
   EXPECT_EQ(s.windows()[1], 64u);
-}
-
-TEST(WindowedSeriesTest, BandwidthPerWindow) {
-  WindowedSeries s(100);
-  s.Record(0, 50);
-  EXPECT_DOUBLE_EQ(s.BandwidthAt(0), 0.5);
-  EXPECT_DOUBLE_EQ(s.BandwidthAt(7), 0.0);  // out of range
-}
-
-TEST(WindowedSeriesTest, MeanBandwidthOverRange) {
-  WindowedSeries s(100);
-  s.Record(0, 100);    // window 0
-  s.Record(150, 300);  // window 1
-  EXPECT_DOUBLE_EQ(s.MeanBandwidth(0, 2), 2.0);
-  EXPECT_DOUBLE_EQ(s.MeanBandwidth(1, 2), 3.0);
-  EXPECT_DOUBLE_EQ(s.MeanBandwidth(2, 2), 0.0);  // empty range
 }
 
 TEST(WindowedSeriesTest, SparseRecordingFillsGapsWithZero) {

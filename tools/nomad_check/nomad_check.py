@@ -35,12 +35,11 @@ nomad_lint rules:
   NL007 io-in-core        no <iostream>/<fstream> outside the harness; core
                           layers report via counters, traces, and return
                           values.
-  NL008 shard-ownership   the shard primitives (ShardBarrier; the pattern
-                          still names the removed ShardRouter/ShardMsg) and
-                          cross-shard `shards[i]` mutation are confined to
-                          the sharded runtime (SHARD_RUNTIME_FILES);
-                          anything else would reach across shards or into
-                          the lockstep schedule.
+  NL008 shard-ownership   the epoch barrier (std::barrier) and cross-shard
+                          `shards[i]` mutation are confined to the sharded
+                          runtime (SHARD_RUNTIME_FILES); anything else would
+                          reach across shards or into the lockstep
+                          schedule.
   NL009 frame-flags       frame metadata is a packed flags word (src/mm/
                           page.h); outside src/mm it may only be touched
                           through the PageFrame accessors. A raw bitmask
@@ -53,11 +52,11 @@ nomad_lint rules:
                           does both - within 10 lines: shedding that leaves
                           no metric behind looks like a hang in a soak.
   NL011 unannotated-sync  any class in src/ holding a mutex/condition
-                          variable/atomic member (or the Mutex/CondVar
-                          wrappers) or a ShardBarrier member
-                          must carry a thread-safety annotation (src/base/
-                          annotations.h) somewhere in its span; src/base/
-                          itself (the vocabulary) is exempt.
+                          variable/atomic member (or the Mutex wrapper) or
+                          a std::barrier member must carry a thread-safety
+                          annotation (src/base/annotations.h) somewhere in
+                          its span; src/base/ itself (the vocabulary) is
+                          exempt.
   NL012 timeline-channel  no complete string literal at Timeline .Channel()
                           call sites; gauge names come from the tl::
                           constants. A "cnt."/"hist." prefix literal plus a
@@ -315,12 +314,9 @@ def load_files(tool, root, paths=None):
 # Shared constants
 
 # Files that ARE the shard runtime: the lockstep loop and its barrier own
-# the cross-shard seams, so shard primitives (NL008), thread spawns (NA002)
-# and sims[s] indexing (NA004) inside them are the mechanism, not a
-# violation.
+# the cross-shard seams, so the barrier (NL008), thread spawns (NA002) and
+# sims[s] indexing (NA004) inside them are the mechanism, not a violation.
 SHARD_RUNTIME_FILES = (
-    "src/sim/shard.h",
-    "src/sim/shard.cc",
     "src/harness/sharded_sim.h",
     "src/harness/sharded_sim.cc",
 )
@@ -434,7 +430,7 @@ def rule_nl006(f, _ctx):
 IO_INCLUDE_RE = re.compile(r'#\s*include\s*<(iostream|fstream)>')
 IO_ALLOWLIST = ("src/harness/",)  # the experiment harness prints reports by design
 
-SHARD_PRIMITIVE_RE = re.compile(r"\b(ShardRouter|ShardBarrier|ShardMsg)\b")
+SHARD_PRIMITIVE_RE = re.compile(r"\bstd\s*::\s*barrier\b")
 # `shards[i].done = true`, `shards[peer].sim->...Frob() = x`, `sims[i]->x = y`
 SHARD_MUT_RE = re.compile(
     r"\b(shards|sims)\s*\[[^\]]+\]\s*(?:\.|->)[^;=<>!]*(?<![<>!=+\-*/|&^])=(?!=)")
@@ -481,12 +477,12 @@ def rule_nl010(f, _ctx):
                   "see RecordVerdict in src/nomad/admission.cc)")
 
 
-# A concurrency-bearing member: synchronization primitive or a shard seam
-# object. `mutable` is common on mutexes; std::atomic carries template args.
+# A concurrency-bearing member: a synchronization primitive. `mutable` is
+# common on mutexes; std::atomic and std::barrier carry template args.
 NL011_MEMBER_RE = re.compile(
     r"(?:^|\n)[ \t]*(?:mutable\s+)?"
     r"(std::mutex|std::condition_variable|std::atomic\s*<[^;]*>|"
-    r"Mutex|CondVar|ShardRouter|ShardBarrier)\s+\w+\s*(?:=[^;]*|\{[^;]*\})?;")
+    r"std::barrier\s*<[^;]*>|Mutex)\s+\w+\s*(?:=[^;]*|\{[^;]*\})?;")
 NL011_ANNOTATION_RE = re.compile(
     r"\bNOMAD_(?:CAPABILITY|SCOPED_CAPABILITY|GUARDED_BY|PT_GUARDED_BY|"
     r"REQUIRES|ACQUIRE|RELEASE|TRY_ACQUIRE|EXCLUDES|ACQUIRED_(?:BEFORE|AFTER)|"
@@ -550,12 +546,12 @@ LINT_RULES = [
      line_rule(("src/",), IO_ALLOWLIST, [(
          IO_INCLUDE_RE, r"<\1> in a core layer; report through counters/traces or move "
                         r"I/O to src/harness")])),
-    ("NL008", "shard-owned state mutated outside the shard-message APIs",
+    ("NL008", "shard-owned state mutated outside the sharded runtime",
      line_rule(("src/", "tools/", "bench/"), SHARD_RUNTIME_FILES, [
-         (SHARD_PRIMITIVE_RE, "shard primitive used outside the sharded runtime; "
+         (SHARD_PRIMITIVE_RE, "epoch barrier used outside the sharded runtime; "
                               "communicate through RunShardedMicro/RunShardedYcsb "
                               "(src/harness/sharded_sim.h)"),
-         (SHARD_MUT_RE, "mutation of shard-owned state outside the shard-message APIs; "
+         (SHARD_MUT_RE, "mutation of shard-owned state outside the sharded runtime; "
                         "only the sharded runtime may write another shard's state")])),
     ("NL009", "frame flags touched outside the PageFrame accessors",
      line_rule(("src/", "tools/", "bench/"), ("src/mm/",), [
@@ -1123,12 +1119,12 @@ LINT_SELFTEST_CASES = [
     ("NL007", "src/mm/bad.cc", "#include <iostream>", True),
     ("NL007", "src/harness/ok.cc", "#include <iostream>", False),
     ("NL007", "src/mm/ok.cc", "#include <sstream>", False),
-    ("NL008", "src/policy/bad_router.cc",
-     "void f(ShardRouter& r) { r.Send(0, 1, kShardMsgUser); }", True),
-    ("NL008", "src/sim/shard.cc",
-     "void ShardRouter::Send(uint32_t from, uint32_t to, uint32_t kind) {}", False),
+    ("NL008", "src/policy/bad_barrier.cc",
+     "void f(std::barrier<>& b) { b.arrive_and_wait(); }", True),
+    ("NL008", "src/harness/sharded_sim.h",
+     "void Cross(std::barrier<>& b);", False),
     ("NL008", "src/harness/sharded_sim.cc",
-     "void f(ShardBarrier& b) { b.ArriveAndWait(); }", False),
+     "void f(std::barrier<>& b) { b.arrive_and_wait(); }", False),
     ("NL008", "src/nomad/bad_mut.cc",
      "void f(std::vector<S>& shards, int peer) { shards[peer].done = true; }", True),
     ("NL008", "src/policy/bad_mut2.cc",
@@ -1177,9 +1173,9 @@ LINT_SELFTEST_CASES = [
     ("NL011", "src/obs/bad_atomic.h",
      "class Gauge {\n private:\n  std::atomic<uint64_t> value_ = 0;\n};", True),
     ("NL011", "src/harness/bad_barrier.h",
-     "struct Phase {\n  ShardBarrier barrier;\n  uint64_t epoch = 0;\n};", True),
-    ("NL011", "src/nomad/bad_condvar.h",
-     "class Waiter {\n  Mutex mu_;\n  CondVar cv_;\n  bool ready_ = false;\n};", True),
+     "struct Phase {\n  std::barrier<> barrier{2};\n  uint64_t epoch = 0;\n};", True),
+    ("NL011", "src/nomad/bad_wrapper.h",
+     "class Waiter {\n  Mutex mu_;\n  bool ready_ = false;\n};", True),
     ("NL011", "src/nomad/ok_guarded.h",
      "class Queue {\n private:\n  Mutex mu_;\n"
      "  std::vector<int> items_ NOMAD_GUARDED_BY(mu_);\n};", False),
