@@ -8,11 +8,12 @@
 //   --full               [off]   shorthand for --scale=1: the real dataset,
 //                                no 1/64 substitution (~10M simulated pages)
 //   --shards=N           [0]     0 = classic single-Sim run; N>0 partitions
-//                                records/capacity/ops into N shards driven
-//                                by the lockstep parallel engine. --shards=1
-//                                is the classic run itself, byte for byte
+//                                records/capacity/ops into N shards run in
+//                                virtual-time epochs on --threads workers.
+//                                --shards=1 is the classic run itself, byte
+//                                for byte
 //   --threads=N          [1]     OS worker threads in sharded mode
-//   --epoch=CYCLES       [500000] virtual-time barrier interval (sharded, > 0)
+//   --epoch=CYCLES       [500000] epoch length in virtual cycles (sharded, > 0)
 //   --ops=N              [60000] total database operations (>= 1 per shard)
 //   --platform=C|D|both  [both]
 //   --policy=...         [all]   restrict to one policy

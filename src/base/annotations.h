@@ -18,15 +18,14 @@
 //  2. *Shard-confined* state — everything a Sim owns (MemorySystem, frame
 //     pool, counters, trace sink, PCQ, admission controller, ...). These
 //     are single-threaded by construction: exactly one worker thread
-//     drives a shard during an epoch, and shards exchange nothing: the
-//     lockstep controller reads each shard's report record only inside
-//     the epoch barrier's completion. No mutex exists to annotate, so
-//     the marking is NOMAD_SHARD_CONFINED — an `annotate` attribute on
-//     clang (visible to AST tools), nothing on other compilers — which
-//     seeds tools/nomad_analyze's ownership map. The analyzer rejects
-//     pointers to confined state escaping into cross-thread lambdas or
-//     static storage, and cross-shard access outside the lockstep
-//     runtime's entry points.
+//     builds and runs a shard, shards exchange nothing, and the runner
+//     reads a shard's results only after joining every worker. No mutex
+//     exists to annotate, so the marking is NOMAD_SHARD_CONFINED — an
+//     `annotate` attribute on clang (visible to AST tools), nothing on
+//     other compilers — which seeds tools/nomad_analyze's ownership map.
+//     The analyzer rejects pointers to confined state escaping into
+//     cross-thread lambdas or static storage, and cross-shard access
+//     outside the sharded runtime's entry points.
 //
 // Every macro compiles to nothing on non-Clang compilers (and under
 // SWIG-style tooling that chokes on GNU attributes), so GCC builds see

@@ -34,11 +34,11 @@ enum class FaultKind : uint8_t {
   kLatencySpike,    // device contention: a copy or demand access slows down
   kPcqOverflow,     // queue pressure: PCQ behaves as if at capacity
   kTlbDelay,        // a shootdown ack straggles: extra initiator-side wait
-  // Shard-aware kinds, consulted once per (shard, epoch) by the lockstep
-  // harness from the shard's own injector, so decisions stay independent
+  // Shard-aware kinds, consulted once per (shard, epoch) by the shard's
+  // epoch loop from the shard's own injector, so decisions stay independent
   // of the worker-thread count.
-  kShardDelay,      // the shard's reports reach the controller one epoch late
-  kShardStall,      // the shard stalls at the barrier: no virtual progress
+  kShardDelay,      // the shard holds its reports to its next hand-over
+  kShardStall,      // the shard sits the epoch out: no virtual progress
   kAllocFailWave,   // arms a burst window of kAllocFail on this shard
   kNumKinds,
 };

@@ -24,7 +24,7 @@ constexpr Cycles kCorruptAt = 1000000;
 
 // Each shard derives from its own seed (the same +7919*s spread the
 // partitioner uses for workload streams), so shards fault at different
-// times — the interesting case for the barrier and the watchdog.
+// times — the interesting case for the watchdog.
 uint64_t ShardSeed(const ChaosCellConfig& cfg, uint32_t shard) {
   return cfg.seed + 7919 * shard;
 }
@@ -51,7 +51,7 @@ std::unique_ptr<FaultInjector> MakeCellInjector(const ChaosCellConfig& cfg, uint
     }
     case ChaosFocus::kAllocFailWave: {
       // Each firing arms a 64-opportunity burst of fast-tier allocation
-      // failures (see RunLockstep), so pressure arrives in waves rather
+      // failures (see RunEpochs), so pressure arrives in waves rather
       // than as independent misses.
       FaultSchedule wave;
       wave.trigger_start = 1 + rng.Below(4);

@@ -30,7 +30,7 @@ namespace nomad {
 // The campaign's fault dimensions. Each focuses a cell on one overload
 // shape; background kinds stay quiet so a violation bisects to its cause.
 enum class ChaosFocus {
-  kShardStall,     // barrier livelock: shards stop advancing virtual time
+  kShardStall,     // livelock: shards sit epochs out and hold reports back
   kAllocFailWave,  // bursts of fast-tier allocation failures per shard
   kPcqOverflow,    // queue pressure: PCQ behaves as if at capacity
   // The per-page migration paths: allocation failures, forced dirty-write

@@ -59,8 +59,8 @@ class NOMAD_SHARD_CONFINED Sim {
 
   // Turns on time-resolved telemetry (src/obs/timeline.h). Engine-driven
   // mode registers a TimelineActor sampling every config.interval cycles;
-  // the sharded harness passes engine_driven=false and drives
-  // SampleTimeline from lockstep epoch boundaries instead. Off by default:
+  // the sharded runner passes engine_driven=false and each shard's epoch
+  // loop calls SampleTimeline at epoch boundaries instead. Off by default:
   // the fixed-seed goldens are captured without a timeline.
   void EnableTimeline(const Timeline::Config& config, bool engine_driven = true);
   // The sampler, or nullptr when the timeline is off.

@@ -1,7 +1,6 @@
 #include "src/harness/sharded_sim.h"
 
 #include <algorithm>
-#include <barrier>
 #include <iostream>
 #include <thread>
 
@@ -38,190 +37,18 @@ bool WorkloadsDone(const Sim& sim) {
   return true;
 }
 
-// A sharded run stops with an error after this many epochs: a safety net
-// against a shard that never finishes.
+// A shard stops with an error after this many epochs: a safety net against
+// a shard that never finishes.
 constexpr uint64_t kMaxEpochs = 1 << 22;
 
-// Controller state, written only by the epoch barrier's completion step and
-// read by every worker after release. Not lock-annotated: the barrier, not a
-// mutex, orders the accesses.
-struct NOMAD_SHARD_CONFINED Control {
-  uint64_t total_ops = 0;
-  uint64_t reports = 0;  // progress and done reports the controller read
-  uint64_t epochs = 0;
+// A run's bookkeeping. The worker that owns a shard keeps the shard's own in
+// its epoch loop; the runner sums them once every worker joined.
+struct Tally {
+  uint64_t ops = 0;      // ops the handed-over reports carried
+  uint64_t reports = 0;  // progress and done reports handed over
+  uint64_t epochs = 0;   // a shard's epochs; a run's longest shard's
   uint64_t watchdog_stalls = 0;
-  bool stop = false;
 };
-
-// One shard as the lockstep controller sees it. The worker that owns the
-// shard writes its reports during an epoch; the barrier's completion step
-// takes them and keeps the watchdog fields while every worker waits, so the
-// barrier orders every access in both directions.
-struct NOMAD_SHARD_CONFINED ShardRecord {
-  Sim* sim = nullptr;
-  uint64_t reported_ops = 0;  // the shard's ops as of its last report
-  // Reports the controller has not taken yet, and the ops they carry. The
-  // shard reports progress in each epoch that completed ops, and done once.
-  uint64_t reports = 0;
-  uint64_t report_ops = 0;
-  bool handed_over = false;  // the reports go to the controller this epoch
-  bool done = false;
-  // Watchdog: the epoch count when the controller last took a report, the
-  // open stall verdict, and a verdict the shard has yet to surface.
-  uint64_t last_progress = 0;
-  bool stalled = false;
-  uint64_t stall_pending = 0;
-};
-
-// The lockstep epoch engine shared by every sharded benchmark. Each of T
-// worker threads owns the statically-assigned shards {t, t+T, t+2T, ...}
-// and builds them, in that order, with `build` (which returns the shard's
-// Sim) before its first epoch. A worker never reads another worker's
-// shards, and the end-of-epoch-0 barrier orders every build before the
-// controller's first read, so building needs no barrier of its own. With
-// T == 1 the calling thread builds every shard in shard order.
-//
-// An epoch ends at ONE barrier crossing, whose completion step is the
-// controller, so no second crossing is needed. `on_epoch` runs after a
-// shard's engine reaches the epoch boundary and may inspect that shard only
-// (benchmark-specific snapshots live there).
-Control RunLockstep(uint32_t S, const std::function<Sim&(uint32_t)>& build,
-                    uint32_t exec_threads, Cycles epoch_cycles,
-                    const std::function<void(uint32_t, uint64_t)>& on_epoch,
-                    uint64_t watchdog_stall_epochs = 0) {
-  const uint32_t T = std::max<uint32_t>(1, std::min<uint32_t>(exec_threads, S));
-  Control ctrl;
-  std::vector<ShardRecord> records(S);
-
-  // The controller. std::barrier runs it once per epoch, on one arriving
-  // worker, after every arrival and before any release: every worker's
-  // reports happen-before it, and its update happens-before every worker's
-  // post-barrier read. It reads every shard's record in shard-id order; the
-  // fold is a sum and per-shard state, so neither the thread that runs it
-  // nor the shards' assignment to threads can change it.
-  std::barrier barrier(T, [&]() noexcept {
-    const uint64_t epoch = ctrl.epochs;
-    uint32_t done_shards = 0;
-    for (ShardRecord& rec : records) {
-      if (rec.handed_over && rec.reports > 0) {
-        ctrl.reports += rec.reports;
-        ctrl.total_ops += rec.report_ops;
-        rec.reports = 0;
-        rec.report_ops = 0;
-        rec.last_progress = epoch + 1;
-        rec.stalled = false;
-      }
-      rec.handed_over = false;
-      done_shards += rec.done ? 1 : 0;
-      // Livelock detection on the reports only: a live shard whose last
-      // report is too old is stalled. Edge-triggered — one verdict per
-      // stall episode, re-armed by the next report.
-      const uint64_t quiet = epoch + 1 - rec.last_progress;
-      if (watchdog_stall_epochs > 0 && !rec.done && !rec.stalled &&
-          quiet >= watchdog_stall_epochs) {
-        rec.stalled = true;
-        rec.stall_pending = quiet;
-        ctrl.watchdog_stalls++;
-      }
-    }
-    ctrl.epochs = epoch + 1;
-    NOMAD_CHECK(epoch < kMaxEpochs, "sharded run exceeded kMaxEpochs=", kMaxEpochs,
-                " done_shards=", done_shards, " of ", S);
-    ctrl.stop = done_shards == S;
-  });
-
-  auto worker = [&](uint32_t t) {
-    for (uint32_t s = t; s < S; s += T) {
-      records[s].sim = &build(s);
-    }
-    for (uint64_t epoch = 0;; epoch++) {
-      const Cycles epoch_end = (epoch + 1) * epoch_cycles;
-      for (uint32_t s = t; s < S; s += T) {
-        ShardRecord& rec = records[s];
-        if (rec.done) {
-          continue;
-        }
-        Sim& sim = *rec.sim;
-        // Surface last epoch's watchdog verdict from the owning shard so
-        // the trace record carries the shard's own virtual clock and the
-        // counter lands in the shard's own CounterSet (deterministic for
-        // any T: the verdict was computed from the shard's reports only).
-        if (rec.stall_pending != 0) {
-          sim.ms().Trace(TraceEvent::kWatchdogStall, epoch, rec.stall_pending);
-          sim.ms().counters().Add(cnt::kWatchdogStall, 1);
-          rec.stall_pending = 0;
-        }
-        // Shard-aware chaos, one consult per (shard, epoch) from the
-        // shard's OWN injector: the decision stream depends only on the
-        // shard's seed and epoch count, never on thread assignment.
-        bool stall = false;
-        bool delay_reports = false;
-        if (FaultInjector* fi = sim.ms().faults(); fi != nullptr) {
-          if (fi->ShouldInject(FaultKind::kShardStall)) {
-            stall = true;
-            sim.ms().counters().Add(cnt::kFaultInjShardStall, 1);
-          }
-          if (fi->ShouldInject(FaultKind::kShardDelay)) {
-            delay_reports = true;
-            sim.ms().counters().Add(cnt::kFaultInjShardDelay, 1);
-          }
-          if (fi->ShouldInject(FaultKind::kAllocFailWave)) {
-            // Arm a burst window of allocation failures starting at the
-            // shard's NEXT alloc opportunity: a whole wave of fast-tier
-            // pressure, as opposed to kAllocFail's isolated misses.
-            FaultSchedule wave = fi->schedule(FaultKind::kAllocFail);
-            wave.trigger_start = fi->opportunities(FaultKind::kAllocFail);
-            wave.trigger_count = 64;
-            fi->set_schedule(FaultKind::kAllocFail, wave);
-            sim.ms().counters().Add(cnt::kFaultInjAllocFailWave, 1);
-          }
-        }
-        if (stall) {
-          // The shard parks at the barrier without advancing virtual time
-          // or handing over a report this epoch: the livelock shape the
-          // watchdog exists to flag.
-          continue;
-        }
-        sim.engine().Run(epoch_end);
-        if (on_epoch) {
-          on_epoch(s, epoch);
-        }
-        const uint64_t ops = OpsDone(sim);
-        if (ops > rec.reported_ops) {
-          rec.reports++;
-          rec.report_ops += ops - rec.reported_ops;
-          rec.reported_ops = ops;
-        }
-        rec.done = WorkloadsDone(sim);
-        if (rec.done) {
-          rec.reports++;
-        }
-        // kShardDelay: the shard keeps its reports one more epoch, and they
-        // go with its next hand-over. A finishing shard is skipped forever
-        // after, so it hands over at once regardless.
-        rec.handed_over = !delay_reports || rec.done;
-      }
-      barrier.arrive_and_wait();
-      if (ctrl.stop) {
-        return;
-      }
-    }
-  };
-
-  if (T == 1) {
-    worker(0);  // run inline: no thread spawn for the common CI case
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(T);
-    for (uint32_t t = 0; t < T; t++) {
-      pool.emplace_back(worker, t);
-    }
-    for (std::thread& th : pool) {
-      th.join();
-    }
-  }
-  return ctrl;
-}
 
 // Samples a shard's timeline keeps; older samples are overwritten.
 constexpr size_t kTimelineCapacity = 4096;
@@ -252,8 +79,8 @@ bool Instrumented(const Plan& plan, const MetricsCollector* collector) {
 template <typename ShardedConfig>
 Plan PlanOf(const ShardedConfig& cfg, const MetricsCollector* collector) {
   NOMAD_CHECK(cfg.shards > 0, "a run needs at least one shard");
-  // Lockstep advances in epochs of epoch_cycles; zero would never advance
-  // virtual time. A one-shard run has no epochs and ignores the field.
+  // A sharded run advances in epochs of epoch_cycles; zero would never
+  // advance virtual time. A one-shard run has no epochs and ignores the field.
   NOMAD_CHECK(cfg.shards == 1 || cfg.epoch_cycles > 0,
               "epoch_cycles must be > 0 for a run with shards=", cfg.shards);
   Plan plan;
@@ -272,8 +99,8 @@ Scale ScaleOf(uint64_t denom) {
   return Scale{denom};
 }
 
-// Lockstep samples the timeline at epoch boundaries, so its cadence is the
-// requested interval rounded up to whole epochs.
+// A sharded run samples the timeline at epoch boundaries, so its cadence is
+// the requested interval rounded up to whole epochs.
 uint64_t SampleEpochs(const Plan& plan) {
   return (plan.timeline_interval + plan.epoch_cycles - 1) / plan.epoch_cycles;
 }
@@ -290,6 +117,7 @@ struct NOMAD_SHARD_CONFINED Shard {
   uint64_t total_ops = 0;  // the shard's configured ops; first_half is at half
   bool half_snapped = false;
   CounterSet first_half;
+  Tally tally;  // the shard's epoch loop bookkeeping (see RunEpochs)
 };
 
 // Builds shard s's machine with the wiring every run gets: its instruments
@@ -381,54 +209,161 @@ void AddApp(Shard& sh, std::unique_ptr<WorkloadActor> app) {
 
 // Builds shard s into `sh`: its Sim, the workload actors and their data.
 // It may touch nothing but `sh` and read-only inputs, because the shards
-// of a lockstep run are built concurrently.
+// of a sharded run are built concurrently.
 using BuildShard = std::function<void(uint32_t s, Shard& sh)>;
 
-// Builds every shard and runs them until every workload finished, taking
-// each shard's first-half snapshot on the way. A shard's content depends
-// only on its own config and seed, and each shard has its own FramePool,
-// so where and in what order shards are built cannot change any PFN or
-// result.
-Control RunShards(const Plan& plan, std::vector<Shard>& shards, const BuildShard& build) {
+// Runs shard s from epoch 0 to the first epoch boundary after its workloads
+// finish. Everything the loop reads and writes is the shard's own, and its
+// epoch schedule is fixed, so neither the worker that runs it nor the other
+// shards can change a result.
+void RunEpochs(const Plan& plan, uint32_t s, Shard& sh) {
+  Sim& sim = *sh.sim;
+  const uint64_t sample_epochs = plan.timeline_interval > 0 ? SampleEpochs(plan) : 0;
+  uint64_t reported_ops = 0;  // the shard's ops as of its last report
+  // Reports not handed over yet, and the ops they carry. The shard reports
+  // progress in each epoch that completed ops, and done once.
+  uint64_t held_reports = 0;
+  uint64_t held_ops = 0;
+  // Watchdog: the epoch count at the last hand-over that carried a report,
+  // and a stall verdict the shard has yet to surface.
+  uint64_t last_handover = 0;
+  bool stall_pending = false;
+  for (uint64_t epoch = 0;; epoch++) {
+    NOMAD_CHECK(epoch < kMaxEpochs, "shard ", s, " exceeded kMaxEpochs=", kMaxEpochs);
+    // Surface last epoch's watchdog verdict at the shard's own virtual
+    // clock, into the shard's own CounterSet.
+    if (stall_pending) {
+      sim.ms().Trace(TraceEvent::kWatchdogStall, epoch, plan.watchdog_stall_epochs);
+      sim.ms().counters().Add(cnt::kWatchdogStall, 1);
+      stall_pending = false;
+    }
+    // Shard-aware chaos, one consult per (shard, epoch) from the shard's
+    // OWN injector: the decision stream depends only on the shard's seed
+    // and epoch count.
+    bool stall = false;
+    bool delay_reports = false;
+    if (FaultInjector* fi = sim.ms().faults(); fi != nullptr) {
+      if (fi->ShouldInject(FaultKind::kShardStall)) {
+        stall = true;
+        sim.ms().counters().Add(cnt::kFaultInjShardStall, 1);
+      }
+      if (fi->ShouldInject(FaultKind::kShardDelay)) {
+        delay_reports = true;
+        sim.ms().counters().Add(cnt::kFaultInjShardDelay, 1);
+      }
+      if (fi->ShouldInject(FaultKind::kAllocFailWave)) {
+        // Arm a burst window of allocation failures starting at the
+        // shard's NEXT alloc opportunity: a whole wave of fast-tier
+        // pressure, as opposed to kAllocFail's isolated misses.
+        FaultSchedule wave = fi->schedule(FaultKind::kAllocFail);
+        wave.trigger_start = fi->opportunities(FaultKind::kAllocFail);
+        wave.trigger_count = 64;
+        fi->set_schedule(FaultKind::kAllocFail, wave);
+        sim.ms().counters().Add(cnt::kFaultInjAllocFailWave, 1);
+      }
+    }
+    // A stalled shard sits the epoch out without advancing virtual time or
+    // handing over a report: the livelock shape the watchdog exists to flag.
+    bool done = false;
+    bool hand_over = false;
+    if (!stall) {
+      sim.engine().Run((epoch + 1) * plan.epoch_cycles);
+      const uint64_t ops = OpsDone(sim);
+      if (!sh.half_snapped && ops * 2 >= sh.total_ops) {
+        // Phase snapshot at epoch granularity: deterministic because the
+        // epoch schedule is fixed.
+        sh.first_half = sim.ms().counters();
+        sh.half_snapped = true;
+      }
+      if (sample_epochs > 0 && (epoch + 1) % sample_epochs == 0) {
+        sim.SampleTimeline(ops, epoch + 1);
+      }
+      if (ops > reported_ops) {
+        held_reports++;
+        held_ops += ops - reported_ops;
+        reported_ops = ops;
+      }
+      done = WorkloadsDone(sim);
+      held_reports += done ? 1 : 0;
+      // kShardDelay: the shard keeps its reports one more epoch, and they
+      // go with its next hand-over. A finishing shard hands over at once.
+      hand_over = !delay_reports || done;
+    }
+    if (hand_over && held_reports > 0) {
+      sh.tally.reports += held_reports;
+      sh.tally.ops += held_ops;
+      held_reports = 0;
+      held_ops = 0;
+      last_handover = epoch + 1;
+    }
+    if (done) {
+      sh.tally.epochs = epoch + 1;
+      return;
+    }
+    // Livelock detection on the hand-overs only: a live shard is stalled
+    // once its last one is watchdog_stall_epochs old. The quiet stretch
+    // grows by one per epoch, so it reaches the threshold once per stall
+    // episode, and the next hand-over starts a new one.
+    if (plan.watchdog_stall_epochs > 0 &&
+        epoch + 1 - last_handover == plan.watchdog_stall_epochs) {
+      stall_pending = true;
+      sh.tally.watchdog_stalls++;
+    }
+  }
+}
+
+// Builds every shard and runs it until its workloads finished, taking its
+// first-half snapshot on the way, then sums the shards' tallies. A shard's
+// content depends only on its own config and seed, and each shard has its
+// own FramePool, so where and in what order shards are built and run cannot
+// change any PFN or result.
+Tally RunShards(const Plan& plan, std::vector<Shard>& shards, const BuildShard& build) {
   if (plan.shards == 1) {
     // The classic loop: an exact half-way snapshot, and a stop as soon as
-    // the workloads finish. Lockstep would keep the daemons running on to
-    // the next epoch boundary, which changes the counters.
+    // the workloads finish. Epochs would keep the daemons running on to the
+    // next epoch boundary, which changes the counters.
     Shard& sh = shards[0];
     build(0, sh);
     sh.sim->RunUntilOps(sh.total_ops / 2);
     sh.first_half = sh.sim->ms().counters();
     sh.half_snapped = true;
     sh.sim->Run();
-    Control ctrl;
-    ctrl.total_ops = OpsDone(*sh.sim);
-    return ctrl;
-  }
-  const uint64_t sample_epochs = plan.timeline_interval > 0 ? SampleEpochs(plan) : 0;
-  return RunLockstep(
-      plan.shards,
-      [&](uint32_t s) -> Sim& {
+    sh.tally.ops = OpsDone(*sh.sim);
+  } else {
+    // Each of T workers builds and runs the statically-assigned shards
+    // {t, t+T, t+2T, ...} in that order and touches no other shard, so the
+    // workers only fork and join. With T == 1 the calling thread runs every
+    // shard in shard order.
+    const uint32_t T = std::max<uint32_t>(1, std::min<uint32_t>(plan.exec_threads, plan.shards));
+    const auto worker = [&](uint32_t t) {
+      for (uint32_t s = t; s < plan.shards; s += T) {
         build(s, shards[s]);
-        return *shards[s].sim;
-      },
-      plan.exec_threads, plan.epoch_cycles,
-      [&](uint32_t s, uint64_t epoch) {
-        Shard& sh = shards[s];
-        if (!sh.half_snapped && OpsDone(*sh.sim) * 2 >= sh.total_ops) {
-          // Phase snapshot at epoch granularity: deterministic because the
-          // epoch schedule is fixed.
-          sh.first_half = sh.sim->ms().counters();
-          sh.half_snapped = true;
-        }
-        if (sample_epochs > 0 && (epoch + 1) % sample_epochs == 0) {
-          // The owning worker samples its own shard right after the shard's
-          // engine reached the epoch boundary: shard-confined state only,
-          // at a virtual time fixed by the epoch schedule — byte-identical
-          // for any exec_threads value.
-          sh.sim->SampleTimeline(OpsDone(*sh.sim), epoch + 1);
-        }
-      },
-      plan.watchdog_stall_epochs);
+        RunEpochs(plan, s, shards[s]);
+      }
+    };
+    if (T == 1) {
+      worker(0);  // run inline: no thread spawn for the common CI case
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(T);
+      for (uint32_t t = 0; t < T; t++) {
+        pool.emplace_back(worker, t);
+      }
+      for (std::thread& th : pool) {
+        th.join();
+      }
+    }
+  }
+  // The join orders every shard's writes before this read; the fold is sums
+  // and a maximum, so the shards' assignment to workers cannot change it.
+  Tally run;
+  for (const Shard& sh : shards) {
+    run.ops += sh.tally.ops;
+    run.reports += sh.tally.reports;
+    run.epochs = std::max(run.epochs, sh.tally.epochs);
+    run.watchdog_stalls += sh.tally.watchdog_stalls;
+  }
+  return run;
 }
 
 // Captures shard s under "<label>.shard<s>", or under the label itself when
@@ -449,11 +384,11 @@ void CaptureShard(MetricsCollector* collector, const std::string& label, uint32_
 ShardedAppResult RunApps(const Plan& plan, const BuildShard& build, MetricsCollector* collector,
                          const std::string& label) {
   std::vector<Shard> shards(plan.shards);
-  const Control ctrl = RunShards(plan, shards, build);
+  const Tally run = RunShards(plan, shards, build);
   ShardedAppResult result;
-  result.total_ops = ctrl.total_ops;
-  result.messages = ctrl.reports;
-  result.epochs = ctrl.epochs;
+  result.total_ops = run.ops;
+  result.messages = run.reports;
+  result.epochs = run.epochs;
   uint64_t ops_sum = 0;
   for (uint32_t s = 0; s < plan.shards; s++) {
     Sim& sim = *shards[s].sim;
@@ -497,7 +432,7 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
   // --- partition: each shard is a 1/N machine running 1/N of the work ---
   // Each shard is built by the worker that runs it (see RunShards).
   std::vector<Shard> shards(S);
-  const Control ctrl = RunShards(plan, shards, [&](uint32_t s, Shard& sh) {
+  const Tally run = RunShards(plan, shards, [&](uint32_t s, Shard& sh) {
     MicroRunConfig c = cfg.base;
     c.rss_gb /= S;
     c.wss_gb /= S;
@@ -534,10 +469,10 @@ ShardedRunResult RunShardedMicro(const ShardedRunConfig& cfg, MetricsCollector* 
 
   // --- merge, strictly in shard-id order ---
   ShardedRunResult result;
-  result.total_ops = ctrl.total_ops;
-  result.messages = ctrl.reports;
-  result.epochs = ctrl.epochs;
-  result.watchdog_stalls = ctrl.watchdog_stalls;
+  result.total_ops = run.ops;
+  result.messages = run.reports;
+  result.epochs = run.epochs;
+  result.watchdog_stalls = run.watchdog_stalls;
   for (uint32_t s = 0; s < S; s++) {
     Shard& sh = shards[s];
     Sim& sim = *sh.sim;

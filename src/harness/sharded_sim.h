@@ -10,17 +10,18 @@
 // One shard runs the classic engine loop: the engine stops at exactly half
 // the configured ops for the first-half snapshot, the timeline (when on)
 // is an engine actor sampling at the exact interval, and the run ends as
-// soon as the workloads finish. More shards advance in lockstep virtual-
-// time epochs on a pool of OS worker threads, and each worker builds the
-// shards it owns before its first epoch. As on the paper's machine, where
-// each NUMA node runs its own kswapd and kpromote, shards exchange nothing:
-// at each epoch barrier (a std::barrier) the controller reads one report
-// record per shard, in shard-id order. Because
+// soon as the workloads finish. More shards run on a pool of OS worker
+// threads that only fork and join: each worker builds every shard it owns
+// and runs it in virtual-time epochs to the first epoch boundary after its
+// workloads finish. As on the paper's machine, where each NUMA node runs
+// its own kswapd and kpromote, shards exchange nothing, so a shard's epoch
+// loop keeps the shard's own report tally and stall watchdog, and the
+// runner sums the tallies once after the join. Because
 //  - shard-local state evolves as a pure function of (config, seed) and of
-//    the watchdog's verdicts on that shard, which the controller derives
-//    from that shard's own reports, and
-//  - the controller's fold over the records and the epoch schedule are
-//    independent of how shards are assigned to OS threads,
+//    the watchdog's verdicts on that shard, which its own loop derives from
+//    its own reports on a fixed epoch schedule, and
+//  - the fold over the tallies (sums, and the longest shard's epoch count)
+//    is independent of how shards are assigned to OS threads,
 // worker threads are an execution detail: any --threads value, including 1,
 // produces byte-identical metrics, which scripts/check_determinism.py
 // --threads-compare enforces.
@@ -56,7 +57,7 @@ struct ShardedRunConfig {
   MicroRunConfig base;
   uint32_t shards = 4;        // logical partition count (affects results)
   uint32_t exec_threads = 1;  // OS worker threads (must NOT affect results)
-  Cycles epoch_cycles = 500000;   // virtual-time barrier interval
+  Cycles epoch_cycles = 500000;   // epoch length in virtual cycles
   bool audit = false;  // run InvariantChecker on every quiesced shard
   // Per-shard set-up hook: when set, it is called once per shard with the
   // shard's new Sim, before the layout is mapped and the workloads are
@@ -65,34 +66,32 @@ struct ShardedRunConfig {
   // outlive the run. The worker thread that builds a shard makes the call,
   // concurrently with the other shards' calls, so the hook must be safe to
   // call from several threads and may touch only that shard's Sim and
-  // state it keeps per shard. The lockstep loop additionally consults the
-  // shard-aware fault kinds (kShardStall, kShardDelay, kAllocFailWave) once
-  // per (shard, epoch) from the shard's OWN injector, which keeps every
-  // fault decision a pure function of (shard seed, epoch) — independent of
+  // state it keeps per shard. The shard's epoch loop additionally consults
+  // the shard-aware fault kinds (kShardStall, kShardDelay, kAllocFailWave)
+  // once per epoch from the shard's OWN injector, which keeps every fault
+  // decision a pure function of (shard seed, epoch) — independent of
   // exec_threads. A one-shard run has no epochs, so it never consults them.
   std::function<void(uint32_t shard, Sim& sim)> shard_setup;
-  // Deterministic livelock watchdog: a live shard whose reports stop
-  // reaching the controller for this many consecutive epochs is declared
-  // stalled. The detection runs in the barrier's completion callback on
-  // the shards' reports only, and the verdict is surfaced by the owning
-  // shard as a kWatchdogStall trace event plus the watchdog.stall counter.
-  // 0 = off.
+  // Deterministic livelock watchdog: a live shard that hands over no report
+  // for this many consecutive epochs is declared stalled. The detection
+  // runs in the shard's own epoch loop on the shard's reports only, and the
+  // shard surfaces the verdict at its next epoch as a kWatchdogStall trace
+  // event plus the watchdog.stall counter. 0 = off.
   uint64_t watchdog_stall_epochs = 0;
 };
 
 struct ShardedRunResult {
   std::vector<MicroRunResult> per_shard;  // in shard-id order
-  uint64_t total_ops = 0;      // ops done (lockstep: the controller's count)
-  uint64_t epochs = 0;         // lockstep epochs executed (0 with one shard)
-  // Reports the lockstep controller read: one progress report per shard
-  // per epoch that completed ops, plus one done report per shard (0 with
-  // one shard).
+  uint64_t total_ops = 0;      // ops done (sharded: the ops reports carried)
+  uint64_t epochs = 0;         // the longest shard's epochs (0 with one shard)
+  // Reports handed over: one progress report per shard per epoch that
+  // completed ops, plus one done report per shard (0 with one shard).
   uint64_t messages = 0;
   Cycles max_virtual_time = 0; // slowest shard's final clock
   double aggregate_gbps = 0;   // sum of per-shard overall bandwidth
   uint64_t invariant_violations = 0;  // only populated when cfg.audit
   uint64_t faults_injected = 0;   // sum over shard injectors (0 if none)
-  uint64_t watchdog_stalls = 0;   // stall transitions the watchdog flagged
+  uint64_t watchdog_stalls = 0;   // stall verdicts, summed over shards
 };
 
 // Runs cfg.base partitioned across cfg.shards shards on cfg.exec_threads
@@ -118,7 +117,7 @@ struct ShardedAppResult {
   std::vector<AppRunResult> per_shard;  // in shard-id order
   uint64_t total_ops = 0;
   uint64_t epochs = 0;
-  uint64_t messages = 0;  // reports the controller read, as in ShardedRunResult
+  uint64_t messages = 0;  // reports handed over, as in ShardedRunResult
   Cycles max_virtual_time = 0;
   double aggregate_ops_per_sec = 0;  // total ops over the slowest shard's runtime
 };

@@ -7,7 +7,7 @@
 // into the columnar ring. Two drivers exist:
 //  - TimelineActor: an engine actor that samples every `interval` virtual
 //    cycles (one-shard runs),
-//  - the runner's lockstep epoch loop (src/harness/sharded_sim.cc), which
+//  - a shard's epoch loop in the runner (src/harness/sharded_sim.cc), which
 //    calls SampleSharded() at epoch boundaries so the sampled times are
 //    identical for any --threads value.
 #ifndef SRC_HARNESS_TIMELINE_SAMPLER_H_

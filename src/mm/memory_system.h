@@ -385,6 +385,15 @@ inline Cycles MemorySystem::AccessResolved(ActorId cpu, AddressSpace& as, Tlb& t
         // found no frame on either tier.
         NOMAD_CHECK(pte != nullptr, "unresolved fault left vpn=", vpn,
                     " without a PTE: no frame to map it");
+        if (!pte->present) {
+          // The PTE exists but both tiers are full, as after UnmapAndFree:
+          // no frame backs the page, so nothing is cached and no LLC set or
+          // device is charged. The access costs the faults it took.
+          if (info) {
+            *info = AccessInfo{.latency = total, .took_fault = took_fault};
+          }
+          return total;
+        }
         pte->prot_none = false;
         pte->writable = true;
         pool_.NoteScanCandidate(pte->pfn);

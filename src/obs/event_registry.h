@@ -48,7 +48,7 @@
 //   kReclaimEscalate reclaim target          frames actually freed
 //   kInvariantFail   violations found        0
 //   kAdmissionVerdict vpn                    verdict | (source << 8)
-//   kWatchdogStall   lockstep epoch          epochs without progress
+//   kWatchdogStall   shard epoch             epochs without progress
 //
 // Migration-lifecycle span links (runtime-gated, see
 // MemorySystem::set_span_tracing). Every mig_* record carries the
@@ -218,7 +218,7 @@ bool IsRegisteredHistogramName(const char* name);
 // Timeline gauge channel names. Units: frames for the tier.* channels,
 // queue entries for pcq.*, pages for shadow.pages, 0/1 for
 // kpromote.degraded and tier.fast.below_low_wm, trace records for the
-// trace.* channels, workload ops / lockstep epochs for the shard.* pair.
+// trace.* channels, workload ops / epochs for the shard.* pair.
 namespace tl {
 
 #define NOMAD_TL_CONST(name, str) inline constexpr const char k##name[] = str;

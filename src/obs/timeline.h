@@ -5,8 +5,8 @@
 // shadow reclaim kicking in as fast-tier pressure rises, admission control
 // damping thrash. Timeline records the time axis those narratives need — a
 // columnar ring of delta-snapshots sampled at a fixed virtual-cycle
-// interval (engine-driven in single-Sim runs, lockstep-epoch-driven in
-// sharded runs, so samples are byte-identical across worker-thread counts).
+// interval (engine-driven in single-Sim runs, epoch-driven in sharded runs,
+// so samples are byte-identical across worker-thread counts).
 //
 // Channels are named columns. Gauge channels come from the closed tl::
 // registry in src/obs/event_registry.h (NL012 lints literal names at call
@@ -41,7 +41,7 @@ class NOMAD_SHARD_CONFINED Timeline {
   struct Config {
     // Requested sampling cadence in virtual cycles. The engine-driven
     // sampler honors it exactly; the sharded driver rounds it up to whole
-    // lockstep epochs so samples stay thread-count independent.
+    // epochs so samples stay thread-count independent.
     Cycles interval = 100000;
     // Samples retained; beyond this the oldest sample is overwritten (and
     // counted in dropped(), mirroring the TraceSink ring contract). 0 keeps

@@ -24,8 +24,6 @@ class KvStore {
   struct Config {
     uint64_t record_count = 100000;
     uint64_t record_size = 1024;   // bytes; YCSB default 10 fields x 100 B
-    Vpn index_start = 0;           // set by Layout()
-    Vpn heap_start = 0;            // set by Layout()
   };
 
   explicit KvStore(const Config& config) : config_(config) {
@@ -36,17 +34,17 @@ class KvStore {
   // Computes the page layout starting at `base` and returns one past the
   // last VPN used. Call before any operation.
   Vpn Layout(Vpn base) {
-    config_.index_start = base;
+    index_start_ = base;
     const Vpn index_pages = (slots_ * 8 + kPageSize - 1) / kPageSize;
-    config_.heap_start = base + index_pages;
+    heap_start_ = base + index_pages;
     const Vpn heap_pages =
         (config_.record_count + records_per_page_ - 1) / records_per_page_;
-    return config_.heap_start + heap_pages;
+    return heap_start_ + heap_pages;
   }
 
   uint64_t record_count() const { return config_.record_count; }
-  Vpn index_start() const { return config_.index_start; }
-  Vpn heap_start() const { return config_.heap_start; }
+  Vpn index_start() const { return index_start_; }
+  Vpn heap_start() const { return heap_start_; }
 
   // GET: index probes + full-record read. touch(vpn, offset, is_write)
   // must return the access latency; the sum is returned.
@@ -98,7 +96,7 @@ class KvStore {
     const int probes = 1 + static_cast<int>(h % 8 == 0) + static_cast<int>(h % 64 == 0);
     uint64_t slot = h & (slots_ - 1);
     for (int i = 0; i < probes; i++) {
-      const Vpn vpn = config_.index_start + (slot * 8) / kPageSize;
+      const Vpn vpn = index_start_ + (slot * 8) / kPageSize;
       c += touch(vpn, (slot * 8) % kPageSize, false);
       slot = (slot + Mix(slot | 1)) & (slots_ - 1);
     }
@@ -107,13 +105,15 @@ class KvStore {
 
   std::pair<Vpn, uint64_t> RecordHome(uint64_t key) const {
     const uint64_t rec = key % config_.record_count;
-    return {config_.heap_start + rec / records_per_page_,
+    return {heap_start_ + rec / records_per_page_,
             (rec % records_per_page_) * config_.record_size};
   }
 
   Config config_;
   uint64_t slots_;
   uint64_t records_per_page_;
+  Vpn index_start_ = 0;  // set by Layout()
+  Vpn heap_start_ = 0;   // set by Layout()
 };
 
 }  // namespace nomad

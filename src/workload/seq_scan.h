@@ -15,7 +15,6 @@ class SeqScanWorkload : public WorkloadActor {
     Vpn region_start = 0;
     uint64_t region_pages = 0;
     double write_fraction = 0.0;
-    uint64_t lines_per_page = 4;  // touch a few lines then move on
   };
 
   SeqScanWorkload(MemorySystem* ms, AddressSpace* as, const Config& config)
@@ -25,15 +24,17 @@ class SeqScanWorkload : public WorkloadActor {
 
  protected:
   Cycles RunOp(uint64_t op_index) override {
-    const uint64_t page_step = op_index / config_.lines_per_page;
+    const uint64_t page_step = op_index / kLinesPerPage;
     const Vpn vpn = config_.region_start + page_step % config_.region_pages;
-    const uint64_t line = op_index % config_.lines_per_page;
+    const uint64_t line = op_index % kLinesPerPage;
     const bool is_write =
         config_.write_fraction > 0 && rng_.Chance(config_.write_fraction);
     return TouchLine(vpn, line * kCacheLineSize, is_write);
   }
 
  private:
+  static constexpr uint64_t kLinesPerPage = 4;  // touch a few lines then move on
+
   Config config_;
 };
 

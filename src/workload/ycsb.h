@@ -16,7 +16,6 @@ class YcsbWorkload : public WorkloadActor {
  public:
   struct Config {
     BaseConfig base;
-    double read_proportion = 0.5;  // workload A
     double zipf_theta = 0.99;
   };
 
@@ -34,7 +33,7 @@ class YcsbWorkload : public WorkloadActor {
     auto touch = [this](Vpn vpn, uint64_t off, bool w) { return TouchLine(vpn, off, w); };
     // Fixed CPU work per database op (parsing, dispatch, reply).
     Cycles c = ms_->platform().costs.kvstore_op;
-    if (rng_.Chance(config_.read_proportion)) {
+    if (rng_.Chance(kReadProportion)) {
       c += store_->Get(key, touch);
     } else {
       c += store_->Update(key, touch);
@@ -43,6 +42,8 @@ class YcsbWorkload : public WorkloadActor {
   }
 
  private:
+  static constexpr double kReadProportion = 0.5;  // workload A
+
   Config config_;
   KvStore* store_;
   ScrambledZipfian keys_;

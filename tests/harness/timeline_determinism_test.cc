@@ -1,9 +1,9 @@
 // Determinism contract for the epoch-boundary timeline sampler: the
 // per-shard telemetry CSVs from a fixed-seed sharded run must be
-// byte-identical for any exec_threads value. Sampling happens at lockstep
-// epoch boundaries (the interval is rounded up to whole epochs), so OS
-// scheduling must be invisible in both the sample times and every channel
-// value.
+// byte-identical for any exec_threads value. Sampling happens at each
+// shard's epoch boundaries (the interval is rounded up to whole epochs), so
+// OS scheduling must be invisible in both the sample times and every
+// channel value.
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -70,7 +70,7 @@ TEST(TimelineDeterminismTest, ThreadCountDoesNotChangeTimelines) {
   }
 
   // The CSVs must carry real samples (header + rows) with a strictly
-  // increasing time axis (the shard's virtual clock at each lockstep
+  // increasing time axis (the shard's virtual clock at each epoch
   // boundary).
   for (const auto& [name, body] : t1) {
     std::istringstream lines(body);

@@ -241,6 +241,30 @@ TEST_F(MemorySystemTest, UnmapAndFreeReleasesFrame) {
   EXPECT_EQ(ms_.pool().frame(pfn).lru(), LruList::kNone);
 }
 
+TEST(MemorySystemFullTest, UnresolvedFaultOnUnmappedPageCachesNothing) {
+  // Both tiers full and vpn 3's PTE emptied by UnmapAndFree: the access's
+  // demand faults find no frame. It must count the unresolved fault and
+  // leave no translation behind, not a writable PTE and a TLB entry to a
+  // frame that does not exist.
+  Engine engine;
+  MemorySystem ms(TestPlatform(4, 4), &engine);
+  ms.RegisterCpu(0);
+  AddressSpace as(16);
+  for (Vpn v = 0; v < 8; v++) {
+    ASSERT_NE(ms.MapNewPage(as, v), kInvalidPfn);
+  }
+  ms.UnmapAndFree(as, 3);
+  ASSERT_NE(ms.MapNewPage(as, 9), kInvalidPfn);
+  ms.Access(0, as, 3, 0, false);
+  EXPECT_EQ(ms.counters().Get(cnt::kFaultUnresolved), 1u);
+  EXPECT_EQ(ms.tlb(0).Lookup(3), nullptr);
+  const Pte* pte = ms.PteOf(as, 3);
+  ASSERT_NE(pte, nullptr);
+  EXPECT_FALSE(pte->present);
+  EXPECT_FALSE(pte->writable);
+  EXPECT_EQ(ms.user_bytes(), 0u);
+}
+
 TEST_F(MemorySystemTest, ReserveFastFramesShrinksFreePool) {
   const uint64_t before = ms_.pool().FreeFrames(Tier::kFast);
   ms_.ReserveFastFrames(10);

@@ -109,7 +109,7 @@ TEST_F(WorkloadsTest, PointerChaseVisitsAllBlocks) {
 
 TEST_F(WorkloadsTest, SeqScanSweepsSequentiallyAndWraps) {
   SeqScanWorkload::Config cfg;
-  cfg.base.total_ops = 4 * 25;  // lines_per_page=4 -> 25 pages
+  cfg.base.total_ops = 4 * 25;  // four lines per page -> 25 pages
   cfg.region_start = 10;
   cfg.region_pages = 20;  // wraps after 20 pages
   SeqScanWorkload w(&ms_, &as_, cfg);

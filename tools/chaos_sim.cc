@@ -2,8 +2,8 @@
 // and the sharded engine, with invariant audits during and after each run.
 //
 // The campaign runs one chaos cell (src/harness/chaos.h) per (seed, fault
-// focus, workload): a 4-shard lockstep run whose per-shard injectors are
-// armed from the seed — barrier stalls, delivery delays and alloc-fail
+// focus, workload): a 4-shard run whose per-shard injectors are armed
+// from the seed — stalled epochs, delayed reports and alloc-fail
 // waves, PCQ overflow, or the five per-page migration faults — with an
 // auditor stepping in every shard, the stalled-epoch watchdog, a
 // quiescence audit of every shard, and a byte-compare of the recovery

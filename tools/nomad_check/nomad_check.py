@@ -35,11 +35,11 @@ nomad_lint rules:
   NL007 io-in-core        no <iostream>/<fstream> outside the harness; core
                           layers report via counters, traces, and return
                           values.
-  NL008 shard-ownership   the epoch barrier (std::barrier) and cross-shard
+  NL008 shard-ownership   a barrier (std::barrier) and cross-shard
                           `shards[i]` mutation are confined to the sharded
                           runtime (SHARD_RUNTIME_FILES); anything else would
-                          reach across shards or into the lockstep
-                          schedule.
+                          reach across shards or into their epoch
+                          schedules.
   NL009 frame-flags       frame metadata is a packed flags word (src/mm/
                           page.h); outside src/mm it may only be touched
                           through the PageFrame accessors. A raw bitmask
@@ -313,9 +313,9 @@ def load_files(tool, root, paths=None):
 # --------------------------------------------------------------------------
 # Shared constants
 
-# Files that ARE the shard runtime: the lockstep loop and its barrier own
-# the cross-shard seams, so the barrier (NL008), thread spawns (NA002) and
-# sims[s] indexing (NA004) inside them are the mechanism, not a violation.
+# Files that ARE the shard runtime: the runner forks one worker per shard
+# group and joins them, so thread spawns (NA002), shards[s] indexing (NA004)
+# and a barrier (NL008) inside them are the mechanism, not a violation.
 SHARD_RUNTIME_FILES = (
     "src/harness/sharded_sim.h",
     "src/harness/sharded_sim.cc",
@@ -548,7 +548,7 @@ LINT_RULES = [
                         r"I/O to src/harness")])),
     ("NL008", "shard-owned state mutated outside the sharded runtime",
      line_rule(("src/", "tools/", "bench/"), SHARD_RUNTIME_FILES, [
-         (SHARD_PRIMITIVE_RE, "epoch barrier used outside the sharded runtime; "
+         (SHARD_PRIMITIVE_RE, "std::barrier used outside the sharded runtime; "
                               "communicate through RunShardedMicro/RunShardedYcsb "
                               "(src/harness/sharded_sim.h)"),
          (SHARD_MUT_RE, "mutation of shard-owned state outside the sharded runtime; "
@@ -578,7 +578,7 @@ LINT_RULES = [
 # Function names allowed to index across the shard array even outside the
 # runtime files (single-threaded setup and merge phases).
 SHARD_RUNTIME_FUNCS = {
-    "RunLockstep",
+    "RunShards",
     "RunShardedMicro",
     "RunShardedYcsb",
     "RunChaosCell",
@@ -801,7 +801,7 @@ CROSS_SHARD_RE = re.compile(r"\b(sims?|shards)\s*\[\s*[^]]+\]\s*(?:->|\.)")
 
 def rule_na004(f, ctx):
     """Indexing the shard array outside the shard runtime: only the
-    lockstep loop's entry points may reach across sims[i]."""
+    runner's entry points may reach across sims[i]."""
     if f.rel in SHARD_RUNTIME_FILES or not f.rel.startswith("src/"):
         return
     spans = ctx["functions"][f.rel]
@@ -1281,7 +1281,7 @@ void Peek(std::vector<ShardState>& shards, uint32_t s) {
   shards[s].counters.Add(1);
 }""", True),
     ("NA004", "src/nomad/runtime_func_ok.cc", """
-void RunLockstep(std::vector<Sim*>& sims) {
+void RunShards(std::vector<Sim*>& sims) {
   for (uint32_t s = 0; s < sims.size(); s++) {
     sims[s]->Step();
   }

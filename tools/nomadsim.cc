@@ -35,14 +35,14 @@
 //
 // Sharded parallel mode (see src/harness/sharded_sim.h):
 //   --shards=N           [0]      0 = legacy single-Sim run; N>0 partitions
-//                                 the machine into N per-NUMA-node shards
-//                                 advanced in lockstep virtual-time epochs.
+//                                 the machine into N per-NUMA-node shards,
+//                                 each run in virtual-time epochs.
 //                                 Results depend on N but NOT on --threads.
 //                                 --shards=1 is the legacy run itself: its
 //                                 metrics equal those of --shards=0 with
 //                                 --threads=<app_threads>.
 //   --app_threads=N      [2]      simulated app threads per shard (> 0)
-//   --epoch=CYCLES       [500000] virtual-time barrier interval (> 0)
+//   --epoch=CYCLES       [500000] epoch length in virtual cycles (> 0)
 #include <algorithm>
 #include <iostream>
 #include <string>

@@ -19,21 +19,21 @@
 // Anomaly rules are deterministic window arithmetic — no wall-clock, no
 // randomness — so a fixed-seed run either always trips a rule or never does:
 //
-//   abort_storm       tpm-abort delta >= --abort_storm_min in one window, or
+//   abort_storm       tpm-abort delta >= kAbortStormMin in one window, or
 //                     the kpromote degraded-mode gauge turning on
 //   watermark_breach  fast tier below its low watermark for
-//                     >= --breach_windows consecutive windows; the run-
+//                     >= kBreachWindows consecutive windows; the run-
 //                     initial fill transient (a breach beginning in the very
 //                     first window, before kswapd ever ran) is exempt
 //   verdict_flapping  the majority admission verdict flipping
-//                     >= --flap_min times within --flap_span active windows
+//                     >= kFlapMin times within kFlapSpan active windows
 //   queue_runaway     pending+deferred promotion backlog growing
-//                     >= --runaway_ratio x across some --runaway_windows-
-//                     window span and ending >= --runaway_min entries; slow
+//                     >= kRunawayRatio x across some kRunawayWindows-
+//                     window span and ending >= kRunawayMin entries; slow
 //                     steady accumulation (a bandwidth-bound PCQ filling
 //                     over hundreds of windows) is deliberately not flagged
 //   shard_skew        max/min final shard.ops_done across input files
-//                     > --skew_ratio
+//                     > kSkewRatio
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -193,29 +193,19 @@ std::vector<Phase> BreakPhases(const TimelineCsv& t) {
 // Anomaly rules.
 // ---------------------------------------------------------------------------
 
-struct Thresholds {
-  uint64_t abort_storm_min = 8;   // aborts in one window
-  size_t breach_windows = 3;      // consecutive below-low-watermark windows
-  size_t flap_min = 4;            // majority-verdict flips ...
-  size_t flap_span = 12;          // ... within this many active windows
-  size_t runaway_windows = 6;     // span the backlog growth is measured over
-  double runaway_ratio = 4.0;     // end/start backlog growth across the span
-  uint64_t runaway_min = 64;      // absolute backlog floor for a runaway
-  double skew_ratio = 1.5;        // max/min final shard ops across files
-};
-
 struct Anomaly {
   std::string rule;
   uint64_t onset_time = 0;
   std::string detail;
 };
 
-void DetectAbortStorm(const TimelineCsv& t, const Thresholds& th,
-                      std::vector<Anomaly>* out) {
+constexpr uint64_t kAbortStormMin = 8;  // aborts in one window
+
+void DetectAbortStorm(const TimelineCsv& t, std::vector<Anomaly>* out) {
   const std::vector<uint64_t>* aborts = t.Col(CntChannel(cnt::kNomadTpmAbort));
   const std::vector<uint64_t>* degraded = t.Col(tl::kKpromoteDegraded);
   for (size_t i = 0; i < t.time.size(); i++) {
-    const bool storm = aborts != nullptr && (*aborts)[i] >= th.abort_storm_min;
+    const bool storm = aborts != nullptr && (*aborts)[i] >= kAbortStormMin;
     const bool tripped =
         degraded != nullptr && (*degraded)[i] > 0 && (i == 0 || (*degraded)[i - 1] == 0);
     if (storm || tripped) {
@@ -232,8 +222,9 @@ void DetectAbortStorm(const TimelineCsv& t, const Thresholds& th,
   }
 }
 
-void DetectWatermarkBreach(const TimelineCsv& t, const Thresholds& th,
-                           std::vector<Anomaly>* out) {
+constexpr size_t kBreachWindows = 3;  // consecutive below-low-watermark windows
+
+void DetectWatermarkBreach(const TimelineCsv& t, std::vector<Anomaly>* out) {
   const std::vector<uint64_t>* below = t.Col(tl::kFastBelowLowWatermark);
   if (below == nullptr) {
     return;
@@ -241,20 +232,22 @@ void DetectWatermarkBreach(const TimelineCsv& t, const Thresholds& th,
   size_t run = 0;
   for (size_t i = 0; i < below->size(); i++) {
     run = (*below)[i] > 0 ? run + 1 : 0;
-    if (run == th.breach_windows) {
+    if (run == kBreachWindows) {
       if (i + 1 == run) {
         continue;  // breach began in window 0: the initial fill transient
       }
       out->push_back(Anomaly{"watermark_breach", t.time[i + 1 - run],
-                             std::to_string(th.breach_windows) +
+                             std::to_string(kBreachWindows) +
                                  "+ consecutive windows below the fast-tier low watermark"});
       return;
     }
   }
 }
 
-void DetectVerdictFlapping(const TimelineCsv& t, const Thresholds& th,
-                           std::vector<Anomaly>* out) {
+constexpr size_t kFlapMin = 4;    // majority-verdict flips ...
+constexpr size_t kFlapSpan = 12;  // ... within this many active windows
+
+void DetectVerdictFlapping(const TimelineCsv& t, std::vector<Anomaly>* out) {
   const std::vector<const char*> verdict_counters = {
       cnt::kAdmissionAccept, cnt::kAdmissionDefer, cnt::kAdmissionReject,
       cnt::kAdmissionDowngradeSync};
@@ -287,49 +280,53 @@ void DetectVerdictFlapping(const TimelineCsv& t, const Thresholds& th,
       flips.push_back(i);
     }
   }
-  for (size_t i = 0; i + th.flap_min <= flips.size(); i++) {
-    if (flips[i + th.flap_min - 1] - flips[i] < th.flap_span) {
-      out->push_back(Anomaly{"verdict_flapping", when[flips[i + th.flap_min - 1]],
-                             std::to_string(th.flap_min) + " majority-verdict flips within " +
-                                 std::to_string(th.flap_span) + " active windows"});
+  for (size_t i = 0; i + kFlapMin <= flips.size(); i++) {
+    if (flips[i + kFlapMin - 1] - flips[i] < kFlapSpan) {
+      out->push_back(Anomaly{"verdict_flapping", when[flips[i + kFlapMin - 1]],
+                             std::to_string(kFlapMin) + " majority-verdict flips within " +
+                                 std::to_string(kFlapSpan) + " active windows"});
       return;
     }
   }
 }
 
-void DetectQueueRunaway(const TimelineCsv& t, const Thresholds& th,
-                        std::vector<Anomaly>* out) {
+constexpr size_t kRunawayWindows = 6;   // span the backlog growth is measured over
+constexpr double kRunawayRatio = 4.0;   // end/start backlog growth across the span
+constexpr uint64_t kRunawayMin = 64;    // absolute backlog floor for a runaway
+
+void DetectQueueRunaway(const TimelineCsv& t, std::vector<Anomaly>* out) {
   if (t.Col(tl::kPendingDepth) == nullptr) {
     return;
   }
   const std::vector<uint64_t> backlog =
       SumChannels(t, {tl::kPendingDepth, tl::kDeferredDepth});
-  for (size_t i = 0; i + th.runaway_windows < backlog.size(); i++) {
-    const uint64_t end = backlog[i + th.runaway_windows];
-    if (end >= th.runaway_min &&
+  for (size_t i = 0; i + kRunawayWindows < backlog.size(); i++) {
+    const uint64_t end = backlog[i + kRunawayWindows];
+    if (end >= kRunawayMin &&
         static_cast<double>(end) >=
-            th.runaway_ratio * static_cast<double>(std::max<uint64_t>(backlog[i], 1))) {
+            kRunawayRatio * static_cast<double>(std::max<uint64_t>(backlog[i], 1))) {
       out->push_back(Anomaly{"queue_runaway", t.time[i],
                              "promotion backlog grew " + std::to_string(backlog[i]) +
                                  " -> " + std::to_string(end) + " over " +
-                                 std::to_string(th.runaway_windows) + " windows"});
+                                 std::to_string(kRunawayWindows) + " windows"});
       return;
     }
   }
 }
 
-std::vector<Anomaly> DetectAnomalies(const TimelineCsv& t, const Thresholds& th) {
+std::vector<Anomaly> DetectAnomalies(const TimelineCsv& t) {
   std::vector<Anomaly> out;
-  DetectAbortStorm(t, th, &out);
-  DetectWatermarkBreach(t, th, &out);
-  DetectVerdictFlapping(t, th, &out);
-  DetectQueueRunaway(t, th, &out);
+  DetectAbortStorm(t, &out);
+  DetectWatermarkBreach(t, &out);
+  DetectVerdictFlapping(t, &out);
+  DetectQueueRunaway(t, &out);
   return out;
 }
 
 // Cross-file rule: final per-shard progress must stay balanced.
-void DetectShardSkew(const std::vector<TimelineCsv>& files, const Thresholds& th,
-                     std::vector<Anomaly>* out) {
+constexpr double kSkewRatio = 1.5;  // max/min final shard ops across files
+
+void DetectShardSkew(const std::vector<TimelineCsv>& files, std::vector<Anomaly>* out) {
   uint64_t min_ops = 0, max_ops = 0;
   std::string min_file, max_file;
   size_t seen = 0;
@@ -350,7 +347,7 @@ void DetectShardSkew(const std::vector<TimelineCsv>& files, const Thresholds& th
     seen++;
   }
   if (seen >= 2 && static_cast<double>(max_ops) >
-                       th.skew_ratio * static_cast<double>(std::max<uint64_t>(min_ops, 1))) {
+                       kSkewRatio * static_cast<double>(std::max<uint64_t>(min_ops, 1))) {
     out->push_back(Anomaly{"shard_skew", 0,
                            max_file + " finished " + std::to_string(max_ops) + " ops vs " +
                                std::to_string(min_ops) + " in " + min_file});
@@ -598,8 +595,6 @@ bool HasRule(const std::vector<Anomaly>& as, const std::string& rule) {
 }
 
 void RunSelftest() {
-  const Thresholds th;
-
   {
     TimelineCsv t;
     std::string error;
@@ -614,7 +609,7 @@ void RunSelftest() {
   const TimelineCsv clean = MustLoad(kCleanCsv, "clean");
   {
     Check(clean.time.size() == 5 && clean.channels.size() == 7, "clean CSV shape");
-    const std::vector<Anomaly> as = DetectAnomalies(clean, th);
+    const std::vector<Anomaly> as = DetectAnomalies(clean);
     Check(as.empty(), "clean run reports zero anomalies");
     const std::vector<Phase> phases = BreakPhases(clean);
     Check(phases.size() == 2 && phases[0].migrating && !phases[1].migrating,
@@ -622,27 +617,27 @@ void RunSelftest() {
     Check(phases[0].moved_pages == 12, "phase aggregates moved pages");
   }
   {
-    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kStormCsv, "storm"), th);
+    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kStormCsv, "storm"));
     Check(HasRule(as, "abort_storm"), "abort storm detected");
     Check(as.size() == 1 && as[0].onset_time == 300, "storm onset at the right window");
   }
   {
-    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kBreachCsv, "breach"), th);
+    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kBreachCsv, "breach"));
     Check(HasRule(as, "watermark_breach"), "watermark breach detected");
     Check(as.size() == 1 && as[0].onset_time == 200, "breach onset at first bad window");
     const std::vector<Anomaly> startup =
-        DetectAnomalies(MustLoad(kStartupBreachCsv, "startup"), th);
+        DetectAnomalies(MustLoad(kStartupBreachCsv, "startup"));
     Check(startup.empty(), "initial fill transient is exempt from breach rule");
   }
   {
-    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kFlapCsv, "flap"), th);
+    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kFlapCsv, "flap"));
     Check(HasRule(as, "verdict_flapping"), "verdict flapping detected");
   }
   {
-    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kRunawayCsv, "runaway"), th);
+    const std::vector<Anomaly> as = DetectAnomalies(MustLoad(kRunawayCsv, "runaway"));
     Check(HasRule(as, "queue_runaway"), "queue runaway detected");
     Check(as.size() == 1 && as[0].onset_time == 100, "runaway onset at growth start");
-    const std::vector<Anomaly> creep = DetectAnomalies(MustLoad(kCreepCsv, "creep"), th);
+    const std::vector<Anomaly> creep = DetectAnomalies(MustLoad(kCreepCsv, "creep"));
     Check(creep.empty(), "slow steady backlog accumulation is not a runaway");
   }
   {
@@ -650,13 +645,13 @@ void RunSelftest() {
     shards.push_back(MustLoad(kShardFastCsv, "shard0"));
     shards.push_back(MustLoad(kShardSlowCsv, "shard1"));
     std::vector<Anomaly> as;
-    DetectShardSkew(shards, th, &as);
+    DetectShardSkew(shards, &as);
     Check(HasRule(as, "shard_skew"), "shard skew detected across files");
     std::vector<TimelineCsv> balanced;
     balanced.push_back(MustLoad(kShardFastCsv, "shard0"));
     balanced.push_back(MustLoad(kShardFastCsv, "shard0b"));
     as.clear();
-    DetectShardSkew(balanced, th, &as);
+    DetectShardSkew(balanced, &as);
     Check(as.empty(), "balanced shards report no skew");
   }
   {
@@ -671,11 +666,7 @@ void RunSelftest() {
 
 int Usage() {
   std::cerr << "usage: timeline_report --in=FILE[,FILE...] [--check] [--expect=RULES]\n"
-               "                       [--diff=A,B]\n"
-               "                       [--abort_storm_min=N] [--breach_windows=N]\n"
-               "                       [--flap_min=N] [--flap_span=N]\n"
-               "                       [--runaway_windows=N] [--runaway_ratio=R]\n"
-               "                       [--runaway_min=N] [--skew_ratio=R] [--selftest]\n";
+               "                       [--diff=A,B] [--selftest]\n";
   return 2;
 }
 
@@ -698,15 +689,6 @@ int Main(int argc, char** argv) {
   const std::vector<std::string> diff_paths = SplitList(flags.GetString("diff"));
   const bool check = flags.GetBool("check");
   const std::vector<std::string> expect = SplitList(flags.GetString("expect"));
-  Thresholds th;
-  th.abort_storm_min = flags.GetUint("abort_storm_min", th.abort_storm_min);
-  th.breach_windows = flags.GetUint("breach_windows", th.breach_windows);
-  th.flap_min = flags.GetUint("flap_min", th.flap_min);
-  th.flap_span = flags.GetUint("flap_span", th.flap_span);
-  th.runaway_windows = flags.GetUint("runaway_windows", th.runaway_windows);
-  th.runaway_ratio = flags.GetDouble("runaway_ratio", th.runaway_ratio);
-  th.runaway_min = flags.GetUint("runaway_min", th.runaway_min);
-  th.skew_ratio = flags.GetDouble("skew_ratio", th.skew_ratio);
   if (!flags.UnusedKeys().empty()) {
     return Usage();
   }
@@ -755,12 +737,12 @@ int Main(int argc, char** argv) {
 
   std::vector<Anomaly> all;
   for (const TimelineCsv& t : files) {
-    const std::vector<Anomaly> as = DetectAnomalies(t, th);
+    const std::vector<Anomaly> as = DetectAnomalies(t);
     PrintReport(t, as);
     all.insert(all.end(), as.begin(), as.end());
   }
   std::vector<Anomaly> cross;
-  DetectShardSkew(files, th, &cross);
+  DetectShardSkew(files, &cross);
   for (const Anomaly& a : cross) {
     std::cout << "cross-file anomaly: " << a.rule << ": " << a.detail << "\n";
   }
